@@ -74,6 +74,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # checked first: the flag is honoured only when the mode resolves to
+    # simhash (--minhash and --fast take precedence over --compare-seq)
+    if args.simhash_parity and (
+        args.minhash or args.fast or args.exact_mirror or args.compare_seq != "tail-hamming"
+    ):
+        print("--simhash-parity applies only to --compare-seq tail-hamming "
+              "(without --exact-mirror)!", file=sys.stderr)
+        return 2
     if args.fast and args.compare_seq:
         print("--fast mode was enabled, but argument(s) for sequence-based mode were provided!",
               file=sys.stderr)
@@ -81,12 +89,6 @@ def main(argv=None) -> int:
     if args.unordered and (not args.fast or not args.input_2):
         print("--unordered argument can only be used with --fast mode and paired inputs!",
               file=sys.stderr)
-        return 2
-    if args.simhash_parity and (
-        args.exact_mirror or args.compare_seq != "tail-hamming"
-    ):
-        print("--simhash-parity applies only to --compare-seq tail-hamming "
-              "(without --exact-mirror)!", file=sys.stderr)
         return 2
     if not (500 <= args.mem_limit <= 10240):
         print("Value of unsupported range provided for --mem-limit option!", file=sys.stderr)

@@ -66,7 +66,9 @@ class DedupOutput:
 
 
 def run_dedup(ds: ray.data.Dataset, cfg: DedupConfig = DedupConfig()) -> DedupOutput:
-    total = ds.count()
+    # exact mode counts its input from the slim exchange's block metadata;
+    # the other modes count up front (on a fastx lineage that is a parse)
+    total = None if cfg.mode == "exact" else ds.count()
     # kept-row counts come out of the slim dedup machinery (drop-set /
     # non-representative counters) whenever the fast limbs run, so the
     # filtered PAYLOAD is never materialized or counted here — consuming a
@@ -75,28 +77,22 @@ def run_dedup(ds: ray.data.Dataset, cfg: DedupConfig = DedupConfig()) -> DedupOu
     n_kept = None
     if cfg.mode == "exact":
         ctr: dict = {}
-        kept = _exact.dedup_exact(
-            ds,
+        kw = dict(
             key_cols=cfg.key_cols,
             order_cols=cfg.order_cols,
             num_buckets=cfg.num_buckets,
             counters=ctr,
         )
+        if cfg.emit_clusters:
+            # drops and clusters from ONE slim exchange
+            kept, clusters = _exact.dedup_exact_with_clusters(ds, id_col=cfg.id_col, **kw)
+        else:
+            kept, clusters = _exact.dedup_exact(ds, **kw), None
+        total = ctr["n_input"]
         if "drops" in ctr:
             n_kept = total - ctr["drops"]
         else:  # payload-shuffle fallback limb: count the result
             kept = kept.materialize()
-        clusters = (
-            _exact.dedup_exact_clusters(
-                ds,
-                key_cols=cfg.key_cols,
-                id_col=cfg.id_col,
-                order_cols=cfg.order_cols,
-                num_buckets=cfg.num_buckets,
-            )
-            if cfg.emit_clusters
-            else None
-        )
     elif cfg.mode in ("tight", "loose", "hamming"):
         res = _adj.dedup_adjacency(
             ds,

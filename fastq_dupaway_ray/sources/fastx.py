@@ -34,6 +34,8 @@ import os
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
+import ray
 import ray.data
 
 _EPOCH = datetime.datetime(2000, 1, 1)
@@ -352,19 +354,52 @@ def write_clusters_reference_format(
     starts at ``>``/``@``). Clusters and members are emitted in sorted-id
     order (deterministic; the reference emits in scan order — same content,
     diff after ``sort`` if comparing files). Returns clusters written.
-    The clusters table is the small side by design (duplicates only), so a
-    driver-side serial writer is appropriate — the parquet clusters sink is
+
+    A single file is a serial sink, so the table is gathered to the driver;
+    the lines are built and ordered with Arrow kernels (one head line per
+    distinct ``cluster_id``, one member line per non-representative row, one
+    ``sort_indices`` on (cluster_id, head-first, member) — UTF-8 byte order
+    is Python ``str`` order) and written in one call. Rows with a null
+    ``cluster_id`` or ``member`` are skipped. The parquet clusters sink is
     the parallel path."""
     marker = "@" if fmt == "fastq" else ">"
-    cdf = clusters.to_pandas()
-    n = 0
-    with open(path, "w") as f:
-        for head, grp in sorted(cdf.groupby("cluster_id"), key=lambda kv: kv[0]):
-            f.write(f"{marker}{head}\n")
-            for m in sorted(grp.loc[~grp["is_representative"], "member"]):
-                f.write(f"--{marker}{m}\n")
-            n += 1
-    return n
+    cols = ["cluster_id", "member", "is_representative"]
+    tabs = [t.select(cols) for t in ray.get(clusters.to_arrow_refs()) if t.num_rows]
+    if not tabs:
+        open(path, "wb").close()
+        return 0
+    t = pa.concat_tables(tabs, promote_options="default")
+    t = t.filter(pc.is_valid(t["cluster_id"])).combine_chunks()
+    heads = pc.unique(t["cluster_id"])
+    members = t.filter(
+        pc.and_(
+            pc.invert(pc.fill_null(t["is_representative"], False)),
+            pc.is_valid(t["member"]),
+        )
+    )
+    mcid = members["cluster_id"].combine_chunks()
+    mid = members["member"].combine_chunks()
+    h, m = len(heads), len(mid)
+    lines = pa.table(
+        {
+            "cid": pa.concat_arrays([heads, mcid]),
+            "kind": pa.array(np.r_[np.zeros(h, np.int8), np.ones(m, np.int8)]),
+            "member": pa.concat_arrays([pa.nulls(h, mid.type), mid]),
+            "line": pa.concat_arrays(
+                [
+                    pc.binary_join_element_wise(marker, pc.cast(heads, pa.string()), ""),
+                    pc.binary_join_element_wise("--" + marker, pc.cast(mid, pa.string()), ""),
+                ]
+            ),
+        }
+    )
+    order = pc.sort_indices(
+        lines, sort_keys=[("cid", "ascending"), ("kind", "ascending"), ("member", "ascending")]
+    )
+    out = lines["line"].take(order).to_pylist()
+    with open(path, "wb") as f:
+        f.write(("\n".join(out) + "\n").encode("utf-8") if out else b"")
+    return h
 
 
 def write_fastx(ds: ray.data.Dataset, path: str, fmt: str | None = None) -> int:

@@ -8,22 +8,24 @@ identity, drop the rest; paired mode ANDs both mates into one composite key
 Ray-Data-first redesign of the global in-memory seen-set (ST1): there is no
 shared mutable state. Instead:
 
-1. a stateless ``map_batches`` computes a 64-bit composite content hash and a
-   shuffle bucket, then **pre-deduplicates inside the batch** (combiner): rows
-   that lose locally can never win globally, so their (possibly html-heavy)
-   payload never enters the shuffle;
-2. ``groupby(bucket)`` hash-partitions rows so equal keys co-locate — the
-   number of buckets is the shuffle width, not the number of distinct keys;
-3. one vectorized pandas pass per bucket keeps the first row per identity in
+1. a stateless ``map_batches`` projects each row to a slim identity row —
+   the 128-bit content hash plus the order key (and the id when clusters
+   are wanted); no within-batch combiner (see ``_keep_first_exchange``);
+2. one task hash exchange (``minhash._hash_exchange_tasks``) co-locates equal
+   identities — the bucket count is the exchange width, not the number of
+   distinct keys;
+3. one Arrow-vectorized pass per bucket keeps the first row per identity in
    arrival order (order key = (warc_ts, url) — "first in file order").
 
-Shuffle shape at 100 TB: the heavy payload NEVER enters the shuffle. A slim
-projection (128-bit identity hash + order key) is shuffled to decide which
-rows LOSE keep-first; the drop set — the duplicates, the small side by
-definition — is broadcast and the full payload streams through one filter
-pass (same pattern as stages.representative). When the drop set exceeds the
-broadcast budget, the classic payload-shuffle path takes over (its local
-combiner still pre-drops within-batch losers first).
+Shuffle shape at 100 TB: the heavy payload NEVER enters the exchange. The
+slim rows decide which rows LOSE keep-first; the drop set — the duplicates,
+the small side by definition — is broadcast and the full payload streams
+through one filter pass (same pattern as stages.representative). The
+duplicate clusters (--write-clusters) come from the same exchange: each slim
+row also carries its identity group's winner id. When the drop set exceeds
+the broadcast budget, or a loser fully ties its winner, the value-comparing
+payload-shuffle path filters the payload instead (its local combiner still
+pre-drops within-batch losers first).
 
 Identity: two independent 64-bit hashes + per-column lengths (~2^-128
 collision odds per pair — at 10^12 rows the expected collision count is
@@ -33,9 +35,12 @@ distributed-size tradeoff, documented).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 import ray.data
 
@@ -105,6 +110,123 @@ def _identity128(batch: pa.Table, key_cols) -> tuple:
     return k1, k2
 
 
+def _keep_first_bucket(
+    t: pa.Table | None, slim_cols, order_cols, tie_cols, head_col: str | None
+) -> pa.Table:
+    """One exchange bucket's keep-first pass (Arrow-vectorized).
+
+    Sorts the bucket by (content key pair, order cols, remaining slim cols):
+    each identity run then starts with its keep-first winner. A row LOSES
+    when it repeats its predecessor's key pair. ``_ambig`` marks a loser
+    whose ``tie_cols`` tuple equals its run winner's — no slim key can name
+    that loser alone, and the caller must fall back to a value-comparing
+    dedup. With all tied columns in the sort keys, any such tie sits
+    immediately after the winner; a loser tying another LOSER is fine (the
+    tuple then names only losing rows, and dropping all of them is exact).
+
+    ``head_col=None`` returns the losers only, as (slim cols, _k1, _k2,
+    _ambig). Otherwise every row comes back, plus ``_lose`` and ``_head``
+    (the run winner's ``head_col`` value) — the drop set and the duplicate
+    clusters from one exchange."""
+    out_cols = [*slim_cols, "_k1", "_k2"]
+    if t is None:
+        # no input block at all: a typed-empty table (string slim cols)
+        t = pa.table(
+            {
+                **{c: pa.array([], pa.string()) for c in slim_cols},
+                "_k1": pa.array([], pa.uint64()),
+                "_k2": pa.array([], pa.uint64()),
+            }
+        )
+    n = t.num_rows
+    lose = np.zeros(n, dtype=bool)
+    ambig = np.zeros(n, dtype=bool)
+    if n:
+        sort_cols = dict.fromkeys(["_k1", "_k2", *order_cols, *slim_cols])
+        t = t.take(pc.sort_indices(t, sort_keys=[(c, "ascending") for c in sort_cols]))
+        k1 = t["_k1"].to_numpy()
+        k2 = t["_k2"].to_numpy()
+        lose[1:] = (k1[1:] == k1[:-1]) & (k2[1:] == k2[:-1])
+        same_tuple = np.ones(n, dtype=bool)
+        same_tuple[0] = False
+        for c in tie_cols:
+            v = t[c].to_numpy(zero_copy_only=False)
+            same_tuple[1:] &= v[1:] == v[:-1]
+        ambig[1:] = lose[1:] & same_tuple[1:] & ~lose[:-1]
+    out = t.select(out_cols)
+    if head_col is None:
+        out = out.filter(pa.array(lose))
+        return out.append_column("_ambig", pa.array(ambig[lose], pa.bool_()))
+    winner = np.maximum.accumulate(np.where(lose, 0, np.arange(n)))
+    return (
+        out.append_column("_ambig", pa.array(ambig, pa.bool_()))
+        .append_column("_lose", pa.array(lose, pa.bool_()))
+        .append_column("_head", t[head_col].take(pa.array(winner, pa.int64())))
+    )
+
+
+def _keep_first_exchange(
+    ds: ray.data.Dataset,
+    key_cols,
+    order_cols,
+    id_col: str | None,
+    num_buckets: int,
+    tie_cols,
+    heads: bool,
+    counters: dict | None,
+) -> ray.data.Dataset:
+    """The one slim exchange behind every exact keep-first entry point.
+
+    One pass over the input computes the 128-bit content identity and
+    projects the slim row (id, order cols, _k1, _k2); a task hash-exchange
+    on _k1 co-locates equal identities and ``_keep_first_bucket`` runs per
+    bucket. The payload never moves. ``counters`` receives ``n_input``
+    (rows seen — block metadata of the materialized slim rows, so the input
+    is not parsed again to count it)."""
+    from .minhash import _hash_exchange_tasks
+
+    slim_cols = list(dict.fromkeys([*([id_col] if id_col else []), *order_cols]))
+
+    def slim(batch: pa.Table) -> pa.Table:
+        k1, k2 = _identity128(batch, key_cols)
+        cols = {c: batch[c] for c in slim_cols}
+        cols["_k1"] = pa.array(k1, pa.uint64())
+        cols["_k2"] = pa.array(k2, pa.uint64())
+        return pa.table(cols)
+
+    # NOTE: no within-batch combiner here. A combiner that removes local
+    # losers before the exchange silently LOSES them — they never enter the
+    # drop set and survive dedup (caught by the hypothesis conformance
+    # tests on corpora with same-batch duplicates). Every slim identity row
+    # (~40 bytes) must reach the exchange; the payload still never moves.
+    slimtab = ds.map_batches(slim, batch_format="pyarrow").materialize()
+    if counters is not None:
+        counters["n_input"] = slimtab.count()
+    fn = functools.partial(
+        _keep_first_bucket,
+        slim_cols=slim_cols,
+        order_cols=list(order_cols),
+        tie_cols=list(tie_cols),
+        head_col=id_col if heads else None,
+    )
+    return _hash_exchange_tasks(slimtab, "_k1", num_buckets, fn)
+
+
+def _drop_rows(t: pa.Table) -> pa.Table:
+    return t.filter(t["_lose"]).drop_columns(["_lose", "_head"])
+
+
+def _cluster_rows(t: pa.Table, id_col: str) -> pa.Table:
+    member = t[id_col]
+    return pa.table(
+        {
+            "cluster_id": t["_head"],
+            "member": member,
+            "is_representative": pc.fill_null(pc.equal(member, t["_head"]), False),
+        }
+    )
+
+
 def dedup_exact(
     ds: ray.data.Dataset,
     key_cols=("text",),
@@ -113,7 +235,6 @@ def dedup_exact(
     drop_broadcast_budget: int = 5_000_000,
     paranoid: bool = False,
     counters: dict | None = None,
-    exchange: str = "tasks",
 ) -> ray.data.Dataset:
     """Distributed exact keep-first dedup; returns the kept rows (lazy).
 
@@ -121,8 +242,8 @@ def dedup_exact(
     ``order_cols`` must uniquely identify a row (the reference's arrival key
     is unique by construction — file position).
 
-    Default path: slim identity shuffle -> drop-set broadcast -> payload
-    filter pass (see module docstring). ``num_buckets`` is the shuffle
+    Default path: slim identity exchange -> drop-set broadcast -> payload
+    filter pass (see module docstring). ``num_buckets`` caps the exchange
     width — size it ~2-4x total cores; skew is no concern because bucketing
     is by uniform hash. Falls back to the payload-shuffle path when the
     drop set exceeds ``drop_broadcast_budget`` rows.
@@ -132,108 +253,62 @@ def dedup_exact(
     reference's byte-exact equality (/root/reference/src/hash_dup_remover.cpp
     :10-33) with zero hash-collision exposure, at the cost of shuffling the
     payload once.
+
+    ``counters`` (slim limbs) receives ``n_input`` and, when the broadcast
+    limb ran, ``drops``.
     """
+    if paranoid:
+        return _dedup_exact_shuffle(ds, list(key_cols), list(order_cols), num_buckets)
+    kept, _ = dedup_exact_with_clusters(
+        ds,
+        key_cols=key_cols,
+        id_col=None,
+        order_cols=order_cols,
+        num_buckets=num_buckets,
+        drop_broadcast_budget=drop_broadcast_budget,
+        counters=counters,
+    )
+    return kept
+
+
+def dedup_exact_with_clusters(
+    ds: ray.data.Dataset,
+    key_cols=("text",),
+    id_col: str | None = "url",
+    order_cols=DEFAULT_ORDER,
+    num_buckets: int = 64,
+    drop_broadcast_budget: int = 5_000_000,
+    counters: dict | None = None,
+) -> tuple[ray.data.Dataset, ray.data.Dataset | None]:
+    """``dedup_exact`` plus its ``dedup_exact_clusters`` table from ONE slim
+    exchange: (kept rows, clusters). The clusters come from that exchange
+    whichever limb then filters the payload; ``id_col=None`` skips them
+    (clusters None)."""
     key_cols = list(key_cols)
     order_cols = list(order_cols)
-    if paranoid:
-        return _dedup_exact_shuffle(ds, key_cols, order_cols, num_buckets)
-
-    def slim(batch: pa.Table) -> pa.Table:
-        k1, k2 = _identity128(batch, key_cols)
-        cols = {c: batch[c] for c in order_cols}
-        cols["_k1"] = pa.array(k1, pa.uint64())
-        cols["_k2"] = pa.array(k2, pa.uint64())
-        if exchange != "tasks":  # the task exchange routes on _k1 directly
-            cols["_bucket"] = pa.array(
-                (k1 % np.uint64(num_buckets)).astype(np.int64), pa.int64()
-            )
-        return pa.table(cols)
-
-    # NOTE: no within-batch combiner here. A combiner that removes local
-    # losers before the shuffle silently LOSES them — they never enter the
-    # drop set and survive dedup (caught by the hypothesis conformance
-    # tests on corpora with same-batch duplicates). Every slim identity row
-    # (~40 bytes) must reach the shuffle; the payload still never moves.
-
-    def _losers_frame(df: pd.DataFrame) -> pd.DataFrame:
-        """Losing rows as (order cols, _k1, _k2, _ambig).
-
-        The drop entries carry the CONTENT key pair so the broadcast filter
-        can distinguish a loser from an unrelated row that merely shares its
-        order tuple (same (warc_ts, url), different text — possible when
-        order_cols are not globally unique). ``_ambig`` marks a loser whose
-        FULL (content, order) tuple ties its group winner's — such rows are
-        indistinguishable by any slim key, so the caller must take the
-        payload-shuffle limb (which compares actual values and keeps exactly
-        one)."""
-        df = df.sort_values(order_cols, kind="mergesort")
-        lose = df.duplicated(subset=["_k1", "_k2"], keep="first")
-        keep_cols = [*order_cols, "_k1", "_k2"]
-        out = df.loc[lose, keep_cols].copy()
-        winners = df.loc[~lose, keep_cols]
-        widx = pd.MultiIndex.from_arrays([winners[c] for c in keep_cols])
-        lidx = pd.MultiIndex.from_arrays([out[c] for c in keep_cols])
-        out["_ambig"] = lidx.isin(widx)
-        return out
-
-    def bucket_drops(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0 or "_k1" not in df.columns:
-            # map_groups may deliver an empty schema-less frame on tiny inputs
-            return pd.DataFrame(
-                {
-                    **{c: [] for c in order_cols},
-                    "_k1": pd.Series([], dtype=np.uint64),
-                    "_k2": pd.Series([], dtype=np.uint64),
-                    "_ambig": pd.Series([], dtype=bool),
-                }
-            )
-        return _losers_frame(df)
-
-    slim_rows = ds.map_batches(slim, batch_format="pyarrow")
-    if exchange == "tasks":
-        from .minhash import _hash_exchange_tasks
-
-        def bucket_drops_tab(t: pa.Table | None) -> pa.Table:
-            # zero-row reduces still carry the real schema (slice of a block)
-            if t is None:
-                return pa.table(
-                    {
-                        **{c: pa.array([], pa.string()) for c in order_cols},
-                        "_k1": pa.array([], pa.uint64()),
-                        "_k2": pa.array([], pa.uint64()),
-                        "_ambig": pa.array([], pa.bool_()),
-                    }
-                )
-            proj_schema = t.select([*order_cols, "_k1", "_k2"]).schema.append(
-                pa.field("_ambig", pa.bool_())
-            )
-            if t.num_rows == 0:
-                return proj_schema.empty_table()
-            out = _losers_frame(t.select([*order_cols, "_k1", "_k2"]).to_pandas())
-            return pa.Table.from_pandas(out, preserve_index=False, schema=proj_schema)
-
-        drops = _hash_exchange_tasks(slim_rows, "_k1", num_buckets, bucket_drops_tab)
+    rows = _keep_first_exchange(
+        ds, key_cols, order_cols, id_col, num_buckets, order_cols,
+        heads=id_col is not None, counters=counters,
+    )
+    if id_col is None:
+        drops, clusters = rows, None
     else:
-        drops = (
-            slim_rows.groupby("_bucket")
-            .map_groups(bucket_drops, batch_format="pandas")
-            .materialize()
+        drops = rows.map_batches(_drop_rows, batch_format="pyarrow").materialize()
+        clusters = rows.map_batches(
+            _cluster_rows, batch_format="pyarrow", fn_kwargs={"id_col": id_col}
         )
     n_drops = drops.count()
     if n_drops > drop_broadcast_budget:
-        return _dedup_exact_shuffle(ds, key_cols, order_cols, num_buckets)
-
-    from .minhash import _fetch_cached
-
-    ddf = drops.to_pandas()
-    if len(ddf) == 0:
+        return _dedup_exact_shuffle(ds, key_cols, order_cols, num_buckets), clusters
+    if n_drops == 0:
         if counters is not None:
             counters["drops"] = 0
-        return ds  # nothing to drop (an empty Dataset also loses its schema)
-    if bool(ddf["_ambig"].any()):
+        return ds, clusters  # nothing to drop (an empty Dataset also loses its schema)
+    dtab = pa.concat_tables(ray.get(drops.to_arrow_refs()))
+    if pc.any(dtab["_ambig"]).as_py():
         # a loser fully ties its winner (same content AND same order tuple):
         # no slim key can name the loser alone — compare actual values
-        return _dedup_exact_shuffle(ds, key_cols, order_cols, num_buckets)
+        return _dedup_exact_shuffle(ds, key_cols, order_cols, num_buckets), clusters
     if counters is not None:
         # exact duplicate count, known without consuming the filtered payload
         # (callers use it to avoid a pure-count pass over the corpus); exact
@@ -241,15 +316,8 @@ def dedup_exact(
         # look-alikes with different content fail the stage-2 key check, and
         # full ties took the shuffle limb above
         counters["drops"] = n_drops
-    drop_ref = ray.put(
-        pa.table(
-            {
-                **{c: pa.array(ddf[c]) for c in order_cols},
-                "_k1": pa.array(ddf["_k1"].to_numpy(), pa.uint64()),
-                "_k2": pa.array(ddf["_k2"].to_numpy(), pa.uint64()),
-            }
-        )
-    )
+    drop_ref = ray.put(dtab.select([*order_cols, "_k1", "_k2"]))
+    from .minhash import _fetch_cached
 
     def keep_filter(df: pd.DataFrame) -> pd.DataFrame:
         # two-stage membership: a cheap order-tuple hit pass over every row,
@@ -274,7 +342,7 @@ def dedup_exact(
             return df
         sub = df.loc[hit]
         k1, k2 = _identity128(
-            pa.Table.from_pandas(sub[list(key_cols)], preserve_index=False), key_cols
+            pa.Table.from_pandas(sub[key_cols], preserve_index=False), key_cols
         )
         confirmed = np.fromiter(
             (
@@ -288,7 +356,7 @@ def dedup_exact(
         mask[np.nonzero(hit)[0][confirmed]] = True
         return df[~mask]
 
-    return ds.map_batches(keep_filter, batch_format="pandas")
+    return ds.map_batches(keep_filter, batch_format="pandas"), clusters
 
 
 def exact_drop_ids(
@@ -301,9 +369,8 @@ def exact_drop_ids(
 ) -> ray.data.Dataset:
     """Slim exact keep-first dedup that returns the DROPPED rows' identity.
 
-    The fused-flagship building block: one pass over the (pruned) input
-    computes the 128-bit content identity, a task hash-exchange co-locates
-    equal identities, and each bucket emits the rows that LOSE keep-first as
+    The fused-flagship building block: the slim exchange of
+    ``_keep_first_exchange`` emits the rows that LOSE keep-first as
     (id, order cols, _k1, _k2, _ambig). The payload never moves; the caller
     broadcasts the drop set and streams whatever filter passes it needs.
     The content key pair rides along so the filter can confirm a hit — an
@@ -314,65 +381,14 @@ def exact_drop_ids(
     fall back to a value-comparing dedup (``dedup_exact``'s shuffle limb).
     ``counters`` receives ``n_input`` (rows seen — the valid-count for
     free) when provided."""
-    import pyarrow.compute as pc
+    from .minhash import _default_shuffle_buckets
 
-    from .minhash import _default_shuffle_buckets, _hash_exchange_tasks
-
-    key_cols = list(key_cols)
-    order_cols = list(order_cols)
-    B = num_buckets or _default_shuffle_buckets()
-    slim_cols = list(dict.fromkeys([id_col, *order_cols]))
-
-    def slim(batch: pa.Table) -> pa.Table:
-        k1, k2 = _identity128(batch, key_cols)
-        cols = {c: batch[c] for c in slim_cols}
-        cols["_k1"] = pa.array(k1, pa.uint64())
-        cols["_k2"] = pa.array(k2, pa.uint64())
-        return pa.table(cols)
-
-    slimtab = ds.map_batches(slim, batch_format="pyarrow").materialize()
-    if counters is not None:
-        counters["n_input"] = slimtab.count()
-
-    def bucket_drops(t: pa.Table | None) -> pa.Table:
-        if t is not None and t.num_rows == 0:
-            # zero-row slice of a real block: keep ITS column types — a
-            # fabricated all-string empty block would give the drops dataset
-            # mixed schemas (string vs timestamp order cols)
-            return t.select([*slim_cols, "_k1", "_k2"]).append_column(
-                "_ambig", pa.array([], pa.bool_())
-            )
-        if t is None:
-            empty_cols = {c: pa.array([], pa.string()) for c in slim_cols}
-            empty_cols["_k1"] = pa.array([], pa.uint64())
-            empty_cols["_k2"] = pa.array([], pa.uint64())
-            empty_cols["_ambig"] = pa.array([], pa.bool_())
-            return pa.table(empty_cols)
-        sort_keys = [("_k1", "ascending"), ("_k2", "ascending")] + [
-            (c, "ascending") for c in order_cols
-        ]
-        t = t.take(pc.sort_indices(t, sort_keys=sort_keys))
-        k1 = t["_k1"].to_numpy()
-        k2 = t["_k2"].to_numpy()
-        lose = np.empty(len(k1), dtype=bool)
-        lose[0] = False
-        lose[1:] = (k1[1:] == k1[:-1]) & (k2[1:] == k2[:-1])
-        # ambiguous: a loser whose (id, order) tuple ties its run's WINNER —
-        # with the run sorted ascending by order cols, the winner holds the
-        # smallest tuple, so any such tie sits immediately after the winner.
-        # A loser tying another LOSER is fine: the tuple then names only
-        # losing rows and membership-dropping all of them is exact.
-        same_tuple = np.ones(len(k1), dtype=bool)
-        for c in dict.fromkeys([id_col, *order_cols]):
-            v = t[c].to_numpy(zero_copy_only=False)
-            same_tuple[1:] &= v[1:] == v[:-1]
-            same_tuple[0] = False
-        prev_lose = np.concatenate([[False], lose[:-1]])
-        ambig = lose & same_tuple & ~prev_lose
-        out = t.select([*slim_cols, "_k1", "_k2"]).filter(pa.array(lose))
-        return out.append_column("_ambig", pa.array(ambig[lose], pa.bool_()))
-
-    return _hash_exchange_tasks(slimtab, "_k1", B, bucket_drops)
+    tie_cols = list(dict.fromkeys([id_col, *order_cols]))
+    return _keep_first_exchange(
+        ds, list(key_cols), list(order_cols), id_col,
+        num_buckets or _default_shuffle_buckets(), tie_cols,
+        heads=False, counters=counters,
+    )
 
 
 def _dedup_exact_shuffle(
@@ -411,27 +427,12 @@ def dedup_exact_clusters(
     every kept row heads a cluster; members are the dropped duplicates. Emitted
     as a table (cluster_id = head id, member = row id, is_representative).
 
-    Only the slim (key hash, id, order) projection is shuffled — the payload
-    stays behind.
+    The same slim 128-bit exchange as ``dedup_exact`` (the payload stays
+    behind); ``dedup_exact_with_clusters`` returns this table and the kept
+    rows from one exchange.
     """
-    key_cols = list(key_cols)
-    order_cols = list(order_cols)
-    slim_cols = sorted(set([id_col, *order_cols]))
-
-    def prepare(batch: pa.Table) -> pa.Table:
-        t = add_identity_columns(batch, key_cols, num_buckets=num_buckets)
-        return t.select(slim_cols + ["_key64", "_bucket"])
-
-    def per_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(order_cols, kind="mergesort")
-        heads = df.groupby("_key64", sort=False)[id_col].transform("first")
-        return pd.DataFrame(
-            {
-                "cluster_id": heads.to_numpy(),
-                "member": df[id_col].to_numpy(),
-                "is_representative": (heads == df[id_col]).to_numpy(),
-            }
-        )
-
-    prepared = ds.map_batches(prepare, batch_format="pyarrow")
-    return prepared.groupby("_bucket").map_groups(per_bucket, batch_format="pandas")
+    rows = _keep_first_exchange(
+        ds, list(key_cols), list(order_cols), id_col, num_buckets, list(order_cols),
+        heads=True, counters=None,
+    )
+    return rows.map_batches(_cluster_rows, batch_format="pyarrow", fn_kwargs={"id_col": id_col})

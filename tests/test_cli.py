@@ -253,6 +253,9 @@ def test_cli_simhash_parity_conflicts(paths, capsys, ray_session):
         ["--fast", "--simhash-parity"],
         ["--compare-seq", "tail-hamming", "--exact-mirror", "--simhash-parity"],
         ["--compare-seq", "loose", "--simhash-parity"],
+        # --minhash / --fast resolve the mode before --compare-seq does
+        ["--minhash", "--compare-seq", "tail-hamming", "--simhash-parity"],
+        ["--fast", "--compare-seq", "tail-hamming", "--simhash-parity"],
     ):
         assert main(["-i", src, "-o", out, *bad]) == 2
         assert "simhash-parity" in capsys.readouterr().err

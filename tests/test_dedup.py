@@ -303,3 +303,72 @@ def test_hamming_scan_vec_matches_serial_reference():
         b = naive(cols, d, inc)
         assert (a[0] == b[0]).all(), (trial, d, inc)
         assert a[1] == b[1], (trial, d, inc)
+
+
+@pytest.mark.parametrize("limb", ["broadcast", "full_tie", "over_budget"])
+def test_run_dedup_exact_clusters_every_limb(ray_session, pages_rows, monkeypatch, limb):
+    """run_dedup(mode="exact") takes its clusters from the drop exchange
+    whichever limb then filters the payload: they equal
+    ``dedup_exact_clusters`` and the refmodel clusters, and the kept rows
+    equal the refmodel's."""
+    import functools
+
+    from fastq_dupaway_ray.pipelines.dedup import DedupConfig, run_dedup
+    from fastq_dupaway_ray.stages import dedup_exact as _exact
+
+    rows = list(pages_rows)
+    if limb == "full_tie":
+        rows.append(dict(rows[3]))  # a fully identical copy: no slim key names it
+    if limb == "over_budget":
+        monkeypatch.setattr(
+            _exact,
+            "dedup_exact_with_clusters",
+            functools.partial(_exact.dedup_exact_with_clusters, drop_broadcast_budget=0),
+        )
+    shuffles = []
+    orig_shuffle = _exact._dedup_exact_shuffle
+    monkeypatch.setattr(
+        _exact, "_dedup_exact_shuffle", lambda *a, **k: shuffles.append(1) or orig_shuffle(*a, **k)
+    )
+    ds_rows = rd.from_pandas(pd.DataFrame(rows))
+    out = run_dedup(ds_rows, DedupConfig(mode="exact"))
+    assert len(shuffles) == (0 if limb == "broadcast" else 1)
+
+    ref = refmodel.dedup_hash(rows, keys=("text",))
+    kept = out.kept.to_pandas()
+    assert sorted(kept["url"]) == _urls(ref.kept)
+    assert out.metrics["total"] == len(rows)
+    assert out.metrics["kept"] == len(ref.kept)
+
+    def triples(df):
+        return sorted(zip(df["cluster_id"], df["member"], df["is_representative"]))
+
+    cl = out.clusters.to_pandas()
+    assert triples(cl) == triples(dedup_exact_clusters(ds_rows).to_pandas())
+    ref_members = {(h, m) for h, ms in ref.clusters.items() for m in ms}
+    assert set(zip(cl["cluster_id"], cl["member"])) == ref_members
+    assert len(cl) == len(rows)
+
+
+def test_run_dedup_exact_clusters_use_one_exchange(ray_session, ds, monkeypatch):
+    """Exact mode with clusters runs ONE slim hash exchange and no Ray
+    groupby (the broadcast limb)."""
+    import ray.data
+
+    from fastq_dupaway_ray.pipelines.dedup import DedupConfig, run_dedup
+    from fastq_dupaway_ray.stages import minhash
+
+    calls = []
+    orig = minhash._hash_exchange_tasks
+    monkeypatch.setattr(
+        minhash, "_hash_exchange_tasks", lambda *a, **k: calls.append(1) or orig(*a, **k)
+    )
+
+    def no_groupby(*a, **k):
+        raise AssertionError("Ray groupby on the exact broadcast limb")
+
+    monkeypatch.setattr(ray.data.Dataset, "groupby", no_groupby)
+    out = run_dedup(ds, DedupConfig(mode="exact", emit_clusters=True))
+    assert len(out.kept.to_pandas()) == out.metrics["kept"]
+    assert len(out.clusters.to_pandas()) == out.metrics["total"]
+    assert len(calls) == 1

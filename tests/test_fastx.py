@@ -487,3 +487,78 @@ def test_write_fastx_sharded_ext_change_and_seam_ties(ray_session, tmp_path):
     assert n1 == n2 == 30
     parts = sorted(glob.glob(out2 + "/part-*.fastq"))
     assert b"".join(open(f, "rb").read() for f in parts).count(b"@r\n") == 30
+
+
+def _clusters_from_refmodel(records, marker):
+    """Serial rendering of ``refmodel.dedup_hash`` clusters in the
+    ``.clusters`` byte format: heads and members in sorted-id order; a loser
+    that shares its head's id (a recrawl) is the representative's own id and
+    gets no member line."""
+    from fastq_dupaway_ray import refmodel
+
+    rows = [{"url": i, "text": s, "warc_ts": n} for n, (i, s) in enumerate(records)]
+    ref = refmodel.dedup_hash(rows, keys=("text",))
+    lines = []
+    for head in sorted(ref.clusters):
+        lines.append(f"{marker}{head}")
+        lines += [f"--{marker}{m}" for m in sorted(set(ref.clusters[head]) - {head})]
+    return "".join(l + "\n" for l in lines).encode("utf-8")
+
+
+# (id, sequence) records in file order
+_GOLDEN_RECORDS = [
+    ("r9", "ACGT"),
+    ("r10", "ACGT"),  # member of r9 ("r10" < "r9" as strings)
+    ("single one", "GGGG"),  # singleton; the id line keeps its space
+    ("Zeta", "ACGT"),  # upper-case sorts before lower-case
+    ("réad_é", "TTTT"),
+    ("读取", "TTTT"),  # non-ASCII ids pin the byte-order sort
+    ("😀x", "CCCA"),
+    ("rec", "AAAA"),
+    ("rec", "AAAA"),  # recrawl: the loser shares its head's id
+    ("éa", "TTTT"),
+    ("ab", "CCCA"),
+]
+
+
+@pytest.mark.parametrize("fmt", ["fasta", "fastq"])
+@pytest.mark.parametrize(
+    "case",
+    ["mixed", "all_duplicates", "all_malformed"],
+)
+def test_cli_fast_clusters_golden(ray_session, tmp_path, fmt, case):
+    """``--fast --write-clusters`` writes a ``.clusters`` side file
+    byte-identical to a serial rendering of the refmodel clusters, and the
+    kept file holds the first record of every identity in file order."""
+    from fastq_dupaway_ray.__main__ import main
+
+    marker = "@" if fmt == "fastq" else ">"
+    ext = "fq" if fmt == "fastq" else "fa"
+    records = {
+        "mixed": _GOLDEN_RECORDS,
+        "all_duplicates": [(f"d{i}", "ACGTACGT") for i in range(7)],
+        "all_malformed": [],
+    }[case]
+
+    def rec(i, s):
+        return f"{marker}{i}\n{s}\n" + (f"+\n{'I' * len(s)}\n" if fmt == "fastq" else "")
+
+    if case == "all_malformed":
+        # FASTQ: quality length mismatch; FASTA: wrong id marker
+        body = "@a\nACGT\n+\nIII\n@b\nAC\n+\nI\n" if fmt == "fastq" else "@a\nACGT\n@b\nAC\n"
+    else:
+        body = "".join(rec(i, s) for i, s in records)
+    src = tmp_path / f"in.{ext}"
+    src.write_bytes(body.encode("utf-8"))
+    out = str(tmp_path / f"kept.{ext}")
+    assert main(["-i", str(src), "-o", out, "--fast", "--write-clusters"]) == 0
+
+    with open(out + ".clusters", "rb") as f:
+        assert f.read() == _clusters_from_refmodel(records, marker)
+    seen, kept = set(), []
+    for i, s in records:
+        if s not in seen:
+            seen.add(s)
+            kept.append(rec(i, s))
+    with open(out, "rb") as f:
+        assert f.read() == "".join(kept).encode("utf-8")

@@ -131,14 +131,12 @@ class MinHasher:
     def signatures_batch(self, texts) -> np.ndarray:
         """(n_docs, num_perms) signatures for a batch of texts.
 
-        OPH + char shingles takes the fully-batched path (one shingling pass
-        over the concatenated batch, one flat scatter-min, batched
-        densification — bit-identical to per-doc ``sign_text``, test-pinned).
-        The classic K-permutation scheme keeps the per-doc loop: measured
-        faster than a reduceat-over-concatenated-shingles formulation on both
-        random and templated web text, because the per-doc ``np.unique``
-        shrinks the (perms x shingles) work and small-array numpy overhead is
-        dwarfed by the hashing itself.
+        Char shingles take a batched path: OPH does one shingling pass over
+        the concatenated batch, one flat scatter-min and batched
+        densification; the classic K-permutation scheme does one shingling
+        pass and a per-perm ``reduceat`` (``signatures_classic_batch``). Both
+        are bit-identical to per-doc ``sign_text`` (test-pinned). Word
+        shingles keep the per-doc loop.
         """
         if self.params.scheme == "oph" and self.params.shingle == "char":
             return self.signatures_oph_batch(texts)
@@ -152,21 +150,28 @@ class MinHasher:
         return sig
 
     # Sub-batch width for batched classic signing: the per-perm pass holds
-    # ~8 B x U scratch (U = the chunk's unique shingles); 128 docs keeps it
-    # ~L2-resident. Measured fastest of {128, 256, 512, 1024} (1.31x the
-    # per-doc loop at 128; 0.90x — slower — at 1024, where the scratch
-    # thrashes L3 once per perm).
+    # one 8 B x W scratch buffer (W = the chunk's raw shingle windows,
+    # duplicates included); 128 docs keeps it ~L2-resident. Measured on the
+    # crawl_minhash bench corpus: 0.26 s at 128 docs vs 0.31 / 0.26 / 0.36 s
+    # at 64 / 256 / 512.
     CLASSIC_CHUNK_DOCS = 128
 
     def signatures_classic_batch(self, texts) -> np.ndarray:
         """Batched K-permutation signing over char shingles, bit-identical
         to per-doc ``signature(shingles_of(text))`` (test-pinned).
 
-        One batch shingling pass, one lexsort giving per-doc UNIQUE shingles
-        (the same set ``np.unique`` yields per doc — multiplicity cannot
-        change a min, and uniquing first shrinks the K x U arithmetic), then
-        per permutation a flat multiply-add + ``np.minimum.reduceat`` over
-        the doc segments. Empty docs keep the all-``_MASK64`` signature."""
+        One batch shingling pass, then per permutation a flat multiply-add
+        into one reused buffer and ``np.minimum.reduceat`` over the
+        contiguous per-doc window segments the shingler returns. There is no
+        per-doc unique step: a repeated shingle cannot change a min, and the
+        lexsort that uniqued them cost more than the arithmetic it saved.
+        Measured on 1 CPU over the 3,558 post-exact docs of the
+        crawl_minhash bench corpus (seed 1): 11.6% of the windows are
+        within-doc repeats (1.90M raw vs 1.68M per-doc unique), and signing
+        took 0.26 s without the sort vs 0.48 s with it. With the same docs
+        rewritten to a 78% repeat share it still won (0.25 vs 0.32 s); only
+        near a 95% share did the sort pay for itself (0.52 vs 0.43 s).
+        Zero-shingle docs keep the all-``_MASK64`` signature."""
         n = len(texts)
         K = self.params.num_perms
         step = self.CLASSIC_CHUNK_DOCS
@@ -177,26 +182,19 @@ class MinHasher:
             return out
         from .hashing import char_ngram_hashes_batch
 
-        values, _starts, counts = char_ngram_hashes_batch(texts, self.params.shingle_k)
+        values, starts, counts = char_ngram_hashes_batch(texts, self.params.shingle_k)
         sig = np.full((n, K), _MASK64, dtype=np.uint64)
-        if len(values) == 0:
-            return sig
-        doc_ids = np.repeat(np.arange(n, dtype=np.int64), counts)
-        order = np.lexsort((values, doc_ids))
-        v = values[order]
-        d = doc_ids[order]
-        keep = np.empty(len(v), dtype=bool)
-        keep[0] = True
-        keep[1:] = (v[1:] != v[:-1]) | (d[1:] != d[:-1])
-        v, d = v[keep], d[keep]
-        seg = np.empty(len(d), dtype=bool)
-        seg[0] = True
-        seg[1:] = d[1:] != d[:-1]
-        seg_start = np.nonzero(seg)[0]
-        seg_doc = d[seg_start]
+        # empty docs own no windows, so the non-empty docs' starts tile
+        # ``values`` exactly (reduceat needs strictly increasing indices)
+        docs = np.flatnonzero(counts)
+        seg_start = starts[docs]
+        hv = np.empty_like(values)
+        sig_t = np.empty((K, len(docs)), dtype=np.uint64)
         for k in range(K):
-            hv = self.a[k] * v + self.b[k]
-            sig[seg_doc, k] = np.minimum.reduceat(hv, seg_start)
+            np.multiply(values, self.a[k], out=hv)
+            np.add(hv, self.b[k], out=hv)
+            np.minimum.reduceat(hv, seg_start, out=sig_t[k])
+        sig[docs] = sig_t.T
         return sig
 
     # Sub-batch width for OPH signing. Signing 2048 docs in one flat pass

@@ -207,6 +207,13 @@ def run_flagship(
         metrics["stage_seconds"][stage] = round(now - _t, 3)
         _t = now
 
+    def _persist(ds, name: str, fp: str):
+        """Materialize a slim stage result once; with a checkpoint root,
+        write it there too (``checkpoint`` hands the materialized blocks
+        back instead of re-reading the parts it just wrote)."""
+        ds = ds.materialize()
+        return checkpoint(ds, ckpt_root, name, fp) if ckpt_root else ds
+
     pages_path, spooled = _spool_fastx_once(pages_path, ckpt_root)
 
     # slim read: the identity/signing passes only need (url, warc_ts, text);
@@ -292,21 +299,22 @@ def run_flagship(
             os.path.join(ckpt_root, "edges"), file_extensions=["parquet"]
         )
     else:
-        edges = _mh.dedup_edges_minhash(
-            exact_slim,
-            params=params,
-            verify=verify,
-            threshold=threshold,
-            signer_concurrency=signer_concurrency,
-            out=vout,
-            # numeric spine end-to-end: ids stay 128-bit hash pairs through
-            # components; strings materialize once in apply_cluster_labels
-            emit="numeric" if verify else "ids",
+        edges = _persist(
+            _mh.dedup_edges_minhash(
+                exact_slim,
+                params=params,
+                verify=verify,
+                threshold=threshold,
+                signer_concurrency=signer_concurrency,
+                out=vout,
+                # numeric spine end-to-end: ids stay 128-bit hash pairs
+                # through components; strings materialize once in
+                # apply_cluster_labels
+                emit="numeric" if verify else "ids",
+            ),
+            "edges",
+            fp1,
         )
-        if ckpt_root:
-            edges = checkpoint(edges, ckpt_root, "edges", fp1)
-        else:
-            edges = edges.materialize()
     if "ah1" in edges.schema().names and "index_shards" not in vout:
         # checkpoint-resumed numeric edges: rebuild the endpoint index (one
         # corpus scan — cheap next to the skipped sign/LSH/verify stages) so
@@ -321,11 +329,7 @@ def run_flagship(
     _mark("minhash_edges")
 
     fp2 = fingerprint("labels", fp1)
-    labels = _comp.connected_components(edges)
-    if ckpt_root:
-        labels = checkpoint(labels, ckpt_root, "labels", fp2)
-    else:
-        labels = labels.materialize()
+    labels = _persist(_comp.connected_components(edges), "labels", fp2)
     _mark("components")
 
     # representative pick over the SLIM filtered projection; the keep-filter

@@ -455,6 +455,11 @@ def write_fastx_sharded(
     reproduced, so such layouts are marked non-resumable and always
     rewrite (unique order keys — e.g. warc_ts from the fastx reader —
     never hit this).
+
+    Parts are written by remote tasks with plain ``open()`` on the path as
+    the task's node sees it — there is no pyarrow filesystem layer as in
+    the parquet sinks. A multi-node run therefore needs ``out_dir`` on a
+    mount every node shares; otherwise parts land on worker-local disks.
     """
     import json as _json
     import os

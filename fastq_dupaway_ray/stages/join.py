@@ -246,6 +246,20 @@ def _broadcast_inner_join(
     return big.map_batches(merge, batch_format="pandas")
 
 
+def _key_values(col):
+    """Null-safe numpy view of a key column: ``(values, valid)``.
+
+    Integer keys keep their integer dtype — ``to_numpy`` on a nullable int
+    column decays to float64, which cannot tell keys above 2**53 apart — so
+    their nulls are filled with 0 and flagged by ``valid`` instead. Other
+    types convert as-is (object arrays carry None; ``valid`` still marks
+    them)."""
+    valid = pc.is_valid(col).to_numpy(zero_copy_only=False)
+    if pa.types.is_integer(col.type) and col.null_count:
+        col = pc.fill_null(col, 0)
+    return col.to_numpy(zero_copy_only=False), valid
+
+
 def anti_join(
     left: ray.data.Dataset,
     right: ray.data.Dataset,
@@ -285,16 +299,14 @@ def anti_join(
         tabs = [t for t in tabs if t.num_rows > 0]
         if not tabs:
             return left  # empty right: every left row is unmatched
-        keys = np.unique(
-            pa.concat_tables(tabs)[key].to_numpy(zero_copy_only=False)
-        )
+        keys = np.unique(_key_values(pa.concat_tables(tabs)[key])[0])
         ref = _ray.put(keys)
 
         def keep_unmatched(t: pa.Table) -> pa.Table:
             ks = _fetch_cached(ref)
-            v = t[key].to_numpy(zero_copy_only=False)
+            v, valid = _key_values(t[key])
             # null-keyed left rows match nothing and survive
-            return t.filter(pa.array(~sorted_isin(v, ks)))
+            return t.filter(pa.array(~(sorted_isin(v, ks) & valid)))
 
         return left.map_batches(keep_unmatched, batch_format="pyarrow")
 
@@ -315,28 +327,28 @@ def anti_join(
     lcols = list(lschema.names)
     key_type = lschema.field(key).type
 
-    def _key_hash(vals: np.ndarray) -> np.ndarray:
-        return pd.util.hash_array(np.asarray(vals, dtype=object)).astype(np.uint64)
+    def _key_hash(col) -> pa.Array:
+        # both sides hash the key at the LEFT key type, so a key's bucket
+        # never depends on its side or on whether its block held a null
+        # (null rows land anywhere: they match nothing)
+        vals = _key_values(col.cast(key_type))[0]
+        return pa.array(pd.util.hash_array(vals).astype(np.uint64), pa.uint64())
 
     def tag_left(t: pa.Table) -> pa.Table:
-        kh = _key_hash(t[key].to_numpy(zero_copy_only=False))
-        return t.append_column("_kh", pa.array(kh, pa.uint64())).append_column(
+        return t.append_column("_kh", _key_hash(t[key])).append_column(
             "_am", pa.array(np.zeros(t.num_rows, dtype=np.int8))
         )
 
-    def pad_right_arrow(df: pd.DataFrame) -> pa.Table:
+    def pad_right_arrow(t: pa.Table) -> pa.Table:
         # dedupe per batch and drop null keys (they match nothing); non-key
-        # left columns pad as typed nulls directly — no throwaway pandas
-        out = df.drop_duplicates(subset=[key])
-        out = out[out[key].notna()]
-        kv = out[key].to_numpy()
-        cols = {}
-        for f in lschema:
-            cols[f.name] = (
-                pa.array(kv, f.type) if f.name == key else pa.nulls(len(out), f.type)
-            )
-        cols["_kh"] = pa.array(_key_hash(kv), pa.uint64())
-        cols["_am"] = pa.array(np.full(len(out), 1, dtype=np.int8))
+        # left columns pad as typed nulls
+        kv = pc.unique(pc.drop_null(t[key])).cast(key_type)
+        cols = {
+            f.name: kv if f.name == key else pa.nulls(len(kv), f.type)
+            for f in lschema
+        }
+        cols["_kh"] = _key_hash(kv)
+        cols["_am"] = pa.array(np.full(len(kv), 1, dtype=np.int8))
         return pa.table(cols)
 
     def bucket_filter(t: pa.Table | None) -> pa.Table:
@@ -351,11 +363,11 @@ def anti_join(
         mk = t.filter(is_marker)
         if mk.num_rows == 0:
             return lrows
-        ks = np.unique(mk[key].to_numpy(zero_copy_only=False))
-        v = lrows[key].to_numpy(zero_copy_only=False)
-        return lrows.filter(pa.array(~sorted_isin(v, ks)))
+        ks = np.unique(_key_values(mk[key])[0])
+        v, valid = _key_values(lrows[key])
+        return lrows.filter(pa.array(~(sorted_isin(v, ks) & valid)))
 
     tagged = mat_left.map_batches(tag_left, batch_format="pyarrow").union(
-        slim.map_batches(pad_right_arrow, batch_format="pandas")
+        slim.map_batches(pad_right_arrow, batch_format="pyarrow")
     )
     return _hash_exchange_tasks(tagged, "_kh", B, bucket_filter)

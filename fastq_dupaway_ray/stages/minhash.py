@@ -26,7 +26,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
-from ..functions.hashing import char_ngram_hashes, word_ngram_hashes
+from ..functions.hashing import word_ngram_hashes
 from ..functions.sketches import MinHasher, MinHashParams
 from ..util import default_join_partitions
 
@@ -914,14 +914,6 @@ def _index_lookup_texts(index, want_ids: np.ndarray):
     return [t if ok else None for t, ok in zip(out, found)], th1, th2
 
 
-def _shingle_fn(spec):
-    """spec = ("char", k) | ("word", n) -> text -> uint64[] unique shingles."""
-    mode, size = spec
-    if mode == "word":
-        return lambda t: word_ngram_hashes(t, size)
-    return lambda t: char_ngram_hashes(t, size)
-
-
 def _shingle_sets(spec, texts) -> tuple:
     """(values, starts, counts) ragged SORTED-UNIQUE shingle segments for
     ``texts`` — the pairwise_jaccard input layout. Char mode runs the batch
@@ -1487,7 +1479,6 @@ def dedup_edges_minhash(
     threshold: float | None = None,
     signer_concurrency=None,
     max_bucket: int = 256,
-    raw_edge_budget: int = 2_000_000,  # retired: dedup is now a task exchange
     out: dict | None = None,
     emit: str = "ids",  # "ids" (public string contract) | "numeric" (flagship)
     sign_pages: ray.data.Dataset | None = None,
@@ -1497,8 +1488,6 @@ def dedup_edges_minhash(
 
     The full candidate half of the MinHash pipeline; feed the result into
     stages.components.connected_components and stages.representative.
-    (``raw_edge_budget`` is kept for API compatibility; the edge dedup no
-    longer needs a driver-vs-distributed budget decision — see below.)
 
     Incremental reuse: ``sign_pages`` restricts the SIGNING pass to a subset
     of ``pages`` (default: all of them), and ``extra_band_rows`` unions

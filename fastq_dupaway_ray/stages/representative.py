@@ -202,7 +202,6 @@ def apply_cluster_labels(
     labels: ray.data.Dataset,
     id_col: str = "url",
     order_cols=DEFAULT_ORDER,
-    num_partitions: int | None = None,  # kept for API stability; unused (join-free path)
     payload: ray.data.Dataset | None = None,
     counters: dict | None = None,
     member_attrs=None,

@@ -21,6 +21,7 @@ import json
 import os
 
 import ray.data
+from ray.data.dataset import MaterializedDataset
 
 MANIFEST = "_MANIFEST.json"
 
@@ -75,10 +76,20 @@ def checkpoint(
 ) -> ray.data.Dataset:
     """Materialize ``ds`` at ``root/name`` unless a matching checkpoint exists.
 
-    Returns a Dataset reading from the checkpoint either way. Layout is a
-    directory of part files (one per block — the per-partition resume unit);
-    the manifest lists them with row counts so a monitoring job can account
-    for every partition (lineage + metrics, north rule).
+    Layout is a directory of part files (one per block — the per-partition
+    resume unit); the manifest lists them with row counts so a monitoring
+    job can account for every partition (lineage + metrics, north rule).
+
+    Returns a Dataset with the checkpoint's rows. A matching checkpoint is
+    read back from its parquet parts. Otherwise the parts, manifest and
+    atomic rename happen the same way for every input, and then:
+
+    * a ``MaterializedDataset`` input is returned as is — its blocks are
+      already in the object store, so reading the just-written files back
+      would only repeat a scan;
+    * a lazy input (e.g. a full-payload sink that must stream, never
+      materialize) is written in one streaming pass and read back from the
+      parquet parts, so the caller never re-executes its lineage.
     """
     ckpt_dir = os.path.join(root, name)
     if is_complete(ckpt_dir, fp):
@@ -113,7 +124,6 @@ def checkpoint(
         for f in files
     ]
     n = int(sum(p["rows"] for p in partitions))
-    out = ray.data.read_parquet(tmp_dir, file_extensions=["parquet"])
     manifest = {
         "stage": name,
         "fingerprint": fp,
@@ -129,6 +139,8 @@ def checkpoint(
     with open(os.path.join(tmp_dir, MANIFEST), "w") as f:
         json.dump(manifest, f, indent=1)
     os.rename(tmp_dir, ckpt_dir)  # atomic completion
+    if isinstance(ds, MaterializedDataset):
+        return ds
     return ray.data.read_parquet(ckpt_dir, file_extensions=["parquet"])
 
 

@@ -4,6 +4,7 @@
 import pandas as pd
 import pytest
 
+import ray
 import ray.data as rd
 
 from fastq_dupaway_ray import refmodel
@@ -185,3 +186,48 @@ def test_anti_join_groupby_born_left_blocks(ray_session):
         lds, rd.from_pandas(R), "key", broadcast_budget=1
     ).to_pandas()
     assert sorted(got["key"].unique()) == ["k2", "k3", "k4", "k5", "k6"]
+
+
+def test_anti_join_int64_keys_above_2_53_with_nulls_match_duckdb(ray_session):
+    """Nullable int64 keys at and above 2**53 on both limbs, against DuckDB's
+    NOT EXISTS. Neighbouring keys (2**53 + 2j vs 2**53 + 2j + 1) collapse to
+    one float64, so any float decay on the probe, the broadcast key set, the
+    exchange hash or the bucket filter shows as a wrong row. Blocks with and
+    without nulls are mixed, so a per-block dtype change would also move a
+    key's exchange bucket."""
+    import duckdb
+    import numpy as np
+    import pyarrow as pa
+
+    from fastq_dupaway_ray.stages.join import anti_join
+
+    big = 2**53
+    rng = np.random.default_rng(7)
+    lkeys = [big + int(k) for k in rng.integers(0, 400, 3000)] + [2**62 + 1, 2**62]
+    lkeys = [None if i % 11 == 0 else k for i, k in enumerate(lkeys)]
+    # the right side holds only the EVEN offsets: every odd left key has a
+    # float64 twin in the right set but no int64 match
+    rkeys = [big + 2 * int(k) for k in rng.integers(0, 200, 900)] + [2**62, None]
+    L = pa.table({"key": pa.array(lkeys, pa.int64()),
+                  "v": pa.array(np.arange(len(lkeys)), pa.int64())})
+    R = pa.table({"key": pa.array(rkeys, pa.int64())})
+    con = duckdb.connect()
+    con.register("L", L)
+    con.register("R", R)
+    exp = con.execute(
+        "SELECT v FROM L WHERE NOT EXISTS (SELECT 1 FROM R WHERE R.key = L.key) ORDER BY v"
+    ).fetchnumpy()["v"].tolist()
+    assert exp and any(L["key"][i].as_py() is None for i in exp)
+    # mixed blocks: null-free slices next to null-bearing ones, on both sides
+    # (rows 1-10 hold no null; row 0 is a null-only block)
+    lblocks = [L.slice(0, 1), L.slice(1, 10), L.slice(11, 1500), L.slice(1511)]
+    rblocks = [R.slice(0, 450), R.slice(450)]
+    for budget in (2_000_000, 0):  # broadcast limb, then the exchange limb
+        got = anti_join(
+            rd.from_arrow(lblocks), rd.from_arrow(rblocks), "key",
+            broadcast_budget=budget,
+        )
+        vals = sorted(
+            v for t in ray.get(got.to_arrow_refs()) for v in t["v"].to_pylist()
+        )
+        assert vals == exp, budget

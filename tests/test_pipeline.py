@@ -112,6 +112,21 @@ def test_checkpoint_skips_and_invalidates(ds, tmp_path):
     out3 = checkpoint(ds.select_columns(["url", "lang"]), root, "a", fingerprint("stage-a", "cfg2"))
     assert read_manifest(root, "a")["fingerprint"] != fp
     assert set(out3.schema().names) == {"url", "lang"}
+    # a materialized input is written the same way but handed back as is
+    # (no read-back of the parts just written); a matching re-run still
+    # resumes from the parquet parts
+    mat = ds.select_columns(["url"]).materialize()
+    fpm = fingerprint("stage-m", "cfg1")
+    outm = checkpoint(mat, root, "m", fpm)
+    assert outm is mat
+    assert read_manifest(root, "m")["rows"] == mat.count()
+    again = checkpoint(mat, root, "m", fpm)
+    assert again is not mat
+    files = again.input_files()
+    assert files and all(
+        f.startswith(os.path.join(root, "m")) and f.endswith(".parquet") for f in files
+    )
+    assert sorted(again.to_pandas()["url"]) == sorted(mat.to_pandas()["url"])
 
 
 def test_multimodal_plumbing(ds):

@@ -31,7 +31,7 @@ def entry() -> Any:
 
     table = pages_from_documents("/root/testdata/sf0.001")
     good, _bad = split_quarantine(rd.from_arrow(table))
-    out = run_dedup(good, DedupConfig(mode="minhash", signer_concurrency=2))
+    out = run_dedup(good, DedupConfig(mode="minhash"))
     return out.kept
 
 

@@ -60,8 +60,8 @@ class MinHashParams:
 class MinHasher:
     """Computes K-permutation MinHash signatures over character shingles.
 
-    Holds the permutation coefficient matrix — load once per actor
-    (stages.minhash wraps this in a map_batches actor-pool class).
+    Holds the permutation coefficient matrix — build once per worker
+    process (stages.minhash caches one per params for its task-pool signer).
     """
 
     def __init__(self, params: MinHashParams = MinHashParams()):

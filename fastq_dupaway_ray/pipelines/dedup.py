@@ -55,7 +55,6 @@ class DedupConfig:
     verify: bool = True
     num_buckets: int = 64
     emit_clusters: bool = True
-    signer_concurrency: object = None  # None => elastic task pool
 
 
 @dataclass
@@ -117,7 +116,6 @@ def run_dedup(ds: ray.data.Dataset, cfg: DedupConfig = DedupConfig()) -> DedupOu
                 order_cols=cfg.order_cols,
                 verify=cfg.verify,
                 threshold=cfg.threshold,
-                signer_concurrency=cfg.signer_concurrency,
                 out=vout,
                 # numeric spine end-to-end: edge ids stay 128-bit hash pairs
                 # through components; strings materialize once from the
@@ -137,7 +135,6 @@ def run_dedup(ds: ray.data.Dataset, cfg: DedupConfig = DedupConfig()) -> DedupOu
                 shingle_k=cfg.simhash_shingle_k,
                 length_bucket=cfg.simhash_length_bucket,
                 dense_limit=cfg.simhash_dense_limit,
-                signer_concurrency=cfg.signer_concurrency,
             )
         labels = _comp.connected_components(edges.materialize()).materialize()
         ctr = {}

@@ -116,23 +116,24 @@ def _drop_filter_fn(drops_ds, key_cols=("text",), row_cols=("url", "warc_ts")):
     import pyarrow as pa
 
     from ..stages.dedup_exact import _identity128
-    from ..stages.minhash import _fetch_cached, _id_member_mask_pre, _nonempty_block_refs
+    from ..stages.exchange import fetch_cached, nonempty_block_refs
+    from ..stages.minhash import _id_member_mask_pre
 
     row_cols = list(row_cols)
     key_cols = list(key_cols)
 
     @ray.remote
     def _block_keys(t):
-        from ..stages.minhash import _as_arrow_block
+        from ..stages.exchange import as_arrow_block
 
-        t = _as_arrow_block(t)  # internal refs can be pandas blocks
+        t = as_arrow_block(t)  # internal refs can be pandas blocks
         u1, u2 = _identity128(t, row_cols)
         return u1, u2, t["_k1"].to_numpy(), t["_k2"].to_numpy()
 
     parts = [
         p
         for p in ray.get(
-            [_block_keys.remote(r) for r in _nonempty_block_refs(drops_ds)]
+            [_block_keys.remote(r) for r in nonempty_block_refs(drops_ds)]
         )
         if len(p[0])
     ]
@@ -153,7 +154,7 @@ def _drop_filter_fn(drops_ds, key_cols=("text",), row_cols=("url", "warc_ts")):
     ref = ray.put((u1[order], u2[order], m1[morder], m2[morder]))
 
     def drop_filter(t: pa.Table) -> pa.Table:
-        iu1, iu2, im1, im2 = _fetch_cached(ref)
+        iu1, iu2, im1, im2 = fetch_cached(ref)
         q1, q2 = _identity128(t, row_cols)
         hit = _id_member_mask_pre((iu1, iu2), q1, q2)
         if not hit.any():
@@ -177,7 +178,6 @@ def run_flagship(
     ckpt_root: str | None = None,
     params: MinHashParams = MinHashParams(),
     threshold: float | None = None,
-    signer_concurrency=None,
     verify: bool = True,
     drop_broadcast_budget: int = 5_000_000,
 ):
@@ -305,7 +305,6 @@ def run_flagship(
                 params=params,
                 verify=verify,
                 threshold=threshold,
-                signer_concurrency=signer_concurrency,
                 out=vout,
                 # numeric spine end-to-end: ids stay 128-bit hash pairs
                 # through components; strings materialize once in

@@ -234,9 +234,9 @@ def q_cluster_size_hist_docs(sf_dir: str):
     slim identity shuffle (combiner-style partial counts per batch), cluster
     sizes re-aggregated into the histogram — payload never moves."""
     from .stages.dedup_exact import _identity128
-    from .stages.minhash import _default_shuffle_buckets
+    from .stages.exchange import default_shuffle_buckets
 
-    B = _default_shuffle_buckets()
+    B = default_shuffle_buckets()
     ds = augmented_docs(sf_dir)
 
     def slim(t: pa.Table) -> pa.Table:
@@ -309,9 +309,9 @@ def q_dedup_counts_docs(sf_dir: str):
     counts shuffle only (k1, k2) pairs — the text payload never moves (a
     ``ds.unique("text")`` would shuffle every document body)."""
     from .stages.dedup_exact import _identity128
-    from .stages.minhash import _default_shuffle_buckets
+    from .stages.exchange import default_shuffle_buckets
 
-    B = _default_shuffle_buckets()
+    B = default_shuffle_buckets()
     ds = augmented_docs(sf_dir)
     total = ds.count()
 
@@ -507,9 +507,7 @@ def q_containment_docs(sf_dir: str):
 
     from .stages.containment import containment_edges
 
-    edges = containment_edges(
-        augmented_docs(sf_dir), anchors=None, id_col="doc_id", signer_concurrency=2
-    )
+    edges = containment_edges(augmented_docs(sf_dir), anchors=None, id_col="doc_id")
 
     def cast(t: _pa.Table) -> _pa.Table:
         return _pa.table(
@@ -595,9 +593,9 @@ SQL_LANG_DIST_DOCS = "SELECT lang, count(*) AS n FROM documents GROUP BY lang"
 
 def q_top_tokens_docs(sf_dir: str):
     """Top-50 tokens by frequency: explode -> partial counts -> merge -> top-k."""
-    from .stages.minhash import _default_shuffle_buckets
+    from .stages.exchange import default_shuffle_buckets
 
-    B = _default_shuffle_buckets()
+    B = default_shuffle_buckets()
 
     def explode_count(df: pd.DataFrame) -> pd.DataFrame:
         toks = df["text"].str.split()
@@ -644,9 +642,9 @@ def q_doc_frequency_docs(sf_dir: str):
     per doc within the batch (a doc is one row, so partial DFs are exact);
     the merge bucket owns each token wholly, so per-bucket top-k is globally
     correct before the driver's final head."""
-    from .stages.minhash import _default_shuffle_buckets
+    from .stages.exchange import default_shuffle_buckets
 
-    B = _default_shuffle_buckets()
+    B = default_shuffle_buckets()
 
     def explode_df(df: pd.DataFrame) -> pd.DataFrame:
         if len(df):
@@ -864,9 +862,9 @@ SQL_STREAMING_NEARDUP_DOCS = f"""
 def q_topk_per_lang_docs(sf_dir: str):
     """Windowed rank: top-3 docs per language by (n_chars desc, doc_id) —
     grouped top-k via ONE bucketed vectorized pass (no per-group Python)."""
-    from .stages.minhash import _default_shuffle_buckets
+    from .stages.exchange import default_shuffle_buckets
 
-    B = _default_shuffle_buckets()
+    B = default_shuffle_buckets()
     ds = _docs(sf_dir).select_columns(["doc_id", "lang", "n_chars"])
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
@@ -909,14 +907,14 @@ def q_broadcast_join_customer_nation(sf_dir: str):
 
     import ray as _ray
 
-    from .stages.minhash import _fetch_cached
+    from .stages.exchange import fetch_cached
 
     nation = pq.read_table(f"{sf_dir}/nation.parquet", columns=["n_nationkey", "n_name"])
     ref = _ray.put(nation)
     cust = rd.read_parquet(f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_nationkey"])
 
     def attach(df: pd.DataFrame) -> pd.DataFrame:
-        lut = _fetch_cached(ref, lambda t: dict(zip(t["n_nationkey"].to_pylist(), t["n_name"].to_pylist())))
+        lut = fetch_cached(ref, lambda t: dict(zip(t["n_nationkey"].to_pylist(), t["n_name"].to_pylist())))
         out = df.copy()
         out["n_name"] = out["c_nationkey"].map(lut)
         return out[["c_custkey", "c_nationkey", "n_name"]]
@@ -1476,9 +1474,9 @@ def paragraph_docs(sf_dir: str) -> rd.Dataset:
     pool_ref = ray.put(pool)
 
     def build(t: pa.Table) -> pa.Table:
-        from .stages.minhash import _fetch_cached
+        from .stages.exchange import fetch_cached
 
-        pool = _fetch_cached(pool_ref)
+        pool = fetch_cached(pool_ref)
         ids = t["doc_id"].to_numpy()
         p0 = pool[(ids * 7 + 1) % n_pool]
         p1 = pool[(ids * 13 + 5) % n_pool]
@@ -2174,7 +2172,6 @@ def q_minhash_dedup_docs(sf_dir: str):
             mode="minhash",
             id_col="doc_id",
             order_cols=("doc_id",),
-            signer_concurrency=2,
             emit_clusters=False,
         ),
     )
@@ -2237,7 +2234,6 @@ def q_simhash_dedup_docs(sf_dir: str):
             id_col="doc_id",
             order_cols=("doc_id",),
             distance=3,
-            signer_concurrency=2,
             emit_clusters=False,
         ),
     )
@@ -2568,7 +2564,7 @@ def q_pages_flagship(sf_dir: str):
 
     pages = augmented_near_docs(sf_dir).map_batches(lift, batch_format="pandas")
     good, _bad = split_quarantine(pages)
-    out = run_dedup(good, DedupConfig(mode="minhash", signer_concurrency=2, emit_clusters=False))
+    out = run_dedup(good, DedupConfig(mode="minhash", emit_clusters=False))
     return out.kept.select_columns(["url", "lang"])
 
 

@@ -472,9 +472,9 @@ def write_fastx_sharded(
         import gzip as _gzip
         import os as _os
 
-        from ..stages.minhash import _as_arrow_block
+        from ..stages.exchange import as_arrow_block
 
-        block = _as_arrow_block(block)  # internal refs can be pandas blocks
+        block = as_arrow_block(block)  # internal refs can be pandas blocks
         if block.num_rows == 0:
             return 0
         tmp = path + ".tmp"
@@ -487,9 +487,9 @@ def write_fastx_sharded(
 
     @ray.remote
     def _block_stats(block) -> tuple:
-        from ..stages.minhash import _as_arrow_block
+        from ..stages.exchange import as_arrow_block
 
-        block = _as_arrow_block(block)
+        block = as_arrow_block(block)
         if block.num_rows == 0:
             return (0, None, None)
         col = block[order_col]

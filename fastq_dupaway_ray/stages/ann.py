@@ -331,10 +331,10 @@ def embedding_neardup_exact(
     norms = np.linalg.norm(X, axis=1)
     ref = ray.put((ids_all, X, norms))
 
-    from .minhash import _fetch_cached
+    from .exchange import fetch_cached
 
     def score(batch: pa.Table) -> pa.Table:
-        ids_a, Xa, norms_a = _fetch_cached(ref)
+        ids_a, Xa, norms_a = fetch_cached(ref)
         Xb = _batch_embeddings(batch, vec_col).astype(np.float64)
         ids_b = batch[id_col].to_numpy(zero_copy_only=False)
         nb = np.linalg.norm(Xb, axis=1)
@@ -371,9 +371,9 @@ def embedding_neardup_lsh(
     per band — recall vs ``embedding_neardup_exact`` is tested, not assumed.
     Shuffle carries the vector once per band (bands * d * 4 bytes/row).
     """
-    from .minhash import _default_shuffle_buckets
+    from .exchange import default_shuffle_buckets
 
-    B = num_shuffle_buckets or _default_shuffle_buckets()
+    B = num_shuffle_buckets or default_shuffle_buckets()
     bits_per_band = planes // bands
 
     def band_rows(batch: pa.Table) -> pa.Table:

@@ -32,9 +32,9 @@ def asof_join(
 ) -> ray.data.Dataset:
     """Inner backward as-of join; emits left_cols + key + left_time + right
     time + right_cols for every left row that has a match."""
-    from .minhash import _default_shuffle_buckets
+    from .exchange import default_shuffle_buckets
 
-    B = num_buckets or _default_shuffle_buckets()
+    B = num_buckets or default_shuffle_buckets()
     rk = right_key or key
     lcols = sorted(set([key, left_time, *left_cols]))
     rcols = sorted(set([rk, right_time, *right_cols]))

@@ -129,11 +129,11 @@ def emit_anchor_and_text_rows(
     one text row per DISTINCT shuffle bucket among its anchor keys (so the
     grouped verify finds every member's text in-bucket without a join).
     Text rows have ``_is_text=1`` and a null anchor key."""
-    from .minhash import _fetch_cached
+    from .exchange import fetch_cached
 
     M = None
     if min_set_ref is not None:
-        M = _fetch_cached(min_set_ref) if isinstance(min_set_ref, ray.ObjectRef) else min_set_ref
+        M = fetch_cached(min_set_ref) if isinstance(min_set_ref, ray.ObjectRef) else min_set_ref
     texts = batch[text_col].to_pylist()
     ids = batch[id_col].to_pylist()
     keys, bkts, out_ids, out_lens, out_texts, is_text = [], [], [], [], [], []
@@ -202,8 +202,6 @@ def containment_edges(
     text_col: str = "text",
     max_bucket: int = 512,
     num_shuffle_buckets: int | None = None,
-    signer_concurrency=None,  # kept for API compat; emitters are elastic tasks
-    exchange: str = "tasks",
     verify: str = "find",
 ) -> ray.data.Dataset:
     """pages -> containment edges (a=container, b=contained).
@@ -219,10 +217,9 @@ def containment_edges(
     group there costs one task O(members x haystack), the stated price of
     exactness (the anchors mode is the scale path).
 
-    ``exchange="tasks"`` (default) co-locates buckets with the manual hash
-    exchange and fuses the duplicate-edge dedup onto an ``_ebucket`` key
-    (same rationale + measurements as ``minhash._hash_exchange_tasks``);
-    ``"groupby"`` keeps the Dataset-native shuffles.
+    Buckets are co-located by the task hash exchange
+    (``stages/exchange.py``), and the duplicate-edge dedup is fused onto an
+    ``_ebucket`` key routed through a second exchange.
 
     ``verify`` picks the in-bucket substring verifier. ``"find"`` (default)
     probes each text against the concatenation of strictly-longer group
@@ -239,10 +236,9 @@ def containment_edges(
     form (one structure serves all probes — the shape to extend if groups
     ever carry thousands of members). Byte-level matching on UTF-8 is
     codepoint-exact (lead/continuation byte ranges are disjoint)."""
-    from .minhash import _default_shuffle_buckets, _hash_exchange_tasks
-    from .simhash import dedup_edge_list
+    from .exchange import default_shuffle_buckets, hash_exchange
 
-    B = num_shuffle_buckets or _default_shuffle_buckets()
+    B = num_shuffle_buckets or default_shuffle_buckets()
     group_cap = max_bucket if anchors is not None else None
     slim = pages.select_columns(sorted({id_col, text_col}))
     min_ref = None
@@ -354,11 +350,6 @@ def containment_edges(
         return pd.DataFrame({"a": edges_a, "b": edges_b})
 
     bucket_fn = per_bucket_sa if verify == "suffix_array" else per_bucket
-
-    if exchange != "tasks":
-        edges = rows.groupby("_bkt").map_groups(bucket_fn, batch_format="pandas")
-        return dedup_edge_list(edges)
-
     ncpu = int(ray.cluster_resources().get("CPU", 8))
     EB = max(8, min(ncpu * 2, 32))
 
@@ -399,5 +390,5 @@ def containment_edges(
             return pa.table({"a": pa.array([], idt), "b": pa.array([], idt)})
         return t.select(["a", "b"]).group_by(["a", "b"]).aggregate([])
 
-    edges = _hash_exchange_tasks(rows, "_bkt", B, per_bucket_table)
-    return _hash_exchange_tasks(edges, "_ebucket", EB, _dedup_bucket)
+    edges = hash_exchange(rows, "_bkt", B, per_bucket_table)
+    return hash_exchange(edges, "_ebucket", EB, _dedup_bucket)

@@ -72,7 +72,7 @@ def cross_dedup_exact(
     non-contaminated content ride through untouched.
     """
     key_cols = list(key_cols)
-    from .minhash import _fetch_cached, _hash_exchange_tasks
+    from .exchange import fetch_cached, hash_exchange
 
     slim = _slim_identity(reference, key_cols, 0).union(
         _slim_identity(corpus, key_cols, 1)
@@ -106,7 +106,7 @@ def cross_dedup_exact(
             {"_k1": pa.array(u[:, 0], pa.uint64()), "_k2": pa.array(u[:, 1], pa.uint64())}
         )
 
-    drops = _hash_exchange_tasks(slim, "_k1", num_buckets, bucket_hits)
+    drops = hash_exchange(slim, "_k1", num_buckets, bucket_hits)
     n_drops = drops.count()
     if counters is not None:
         counters["contaminated_identities"] = n_drops
@@ -132,7 +132,7 @@ def cross_dedup_exact(
         from .minhash import _pair_lookup_pos
 
         k1, k2 = _identity128(batch, key_cols)
-        idx = _fetch_cached(
+        idx = fetch_cached(
             drop_ref, lambda t: (t["_k1"].to_numpy(), t["_k2"].to_numpy())
         )
         _, found = _pair_lookup_pos(idx[0], idx[1], k1, k2)
@@ -149,7 +149,8 @@ def _payload_exchange_filter(
     once). ``key_fn(batch) -> (k1, k2)`` derives the 128-bit row key —
     content identity in exact mode, id-hash pair in near mode. ``drops``
     must carry (_k1, _k2)."""
-    from .minhash import _hash_exchange_tasks, _pair_lookup_pos
+    from .exchange import hash_exchange
+    from .minhash import _pair_lookup_pos
 
     def tag(batch: pa.Table) -> pa.Table:
         k1, k2 = key_fn(batch)
@@ -199,7 +200,7 @@ def _payload_exchange_filter(
         )
         return rows.filter(pa.array(~found)).select(payload_cols)
 
-    return _hash_exchange_tasks(both, "_k1", num_buckets, bucket_filter)
+    return hash_exchange(both, "_k1", num_buckets, bucket_filter)
 
 
 def _tag_side(ds: ray.data.Dataset, prefix: str, id_col: str, text_col: str) -> ray.data.Dataset:
@@ -272,7 +273,8 @@ def cross_dedup_minhash(
     """
     from ..functions.sketches import MinHashParams
     from .components import connected_components
-    from .minhash import _fetch_cached, _hash_exchange_tasks, dedup_edges_minhash
+    from .exchange import fetch_cached, hash_exchange
+    from .minhash import dedup_edges_minhash
     from ..functions.hashing import hash64
 
     params = params or MinHashParams()
@@ -321,7 +323,7 @@ def cross_dedup_minhash(
             {"b_id": pa.array(df.loc[hit, "node"].str[2:].to_numpy(), pa.string())}
         )
 
-    drops = _hash_exchange_tasks(
+    drops = hash_exchange(
         labels.map_batches(lab_slim, batch_format="pyarrow"),
         "_lh",
         num_buckets,
@@ -369,7 +371,7 @@ def cross_dedup_minhash(
     )
 
     def keep(batch: pa.Table) -> pa.Table:
-        idx = _fetch_cached(
+        idx = fetch_cached(
             drop_ref, lambda t: (t["_k1"].to_numpy(), t["_k2"].to_numpy())
         )
         arr = batch[id_col]

@@ -149,7 +149,7 @@ def contamination_pairs(
     keeps tiny eval sets on the simpler kernel only because both are
     sub-second there.
     """
-    from .minhash import _fetch_cached
+    from .exchange import fetch_cached
 
     slim = eval_ds.select_columns([id_col, text_col]).materialize()
     n_eval = slim.count()
@@ -179,7 +179,7 @@ def contamination_pairs(
         ref = ray.put((eval_ids, eval_texts))
 
         def scan(t: pa.Table) -> pa.Table:
-            ids_, texts_ = _fetch_cached(ref)
+            ids_, texts_ = fetch_cached(ref)
             col = t[text_col].combine_chunks()
             doc_ids = t[id_col].to_numpy(zero_copy_only=False)
             out_doc, out_eval = [], []
@@ -215,7 +215,7 @@ def contamination_pairs(
     idx_ref = ray.put((idx, eval_ids))
 
     def scan_ngram(t: pa.Table) -> pa.Table:
-        idx_, eval_ids_ = _fetch_cached(idx_ref)
+        idx_, eval_ids_ = fetch_cached(idx_ref)
         out_doc: list = []
         out_eval: list = []
         if idx_[0] is not None:

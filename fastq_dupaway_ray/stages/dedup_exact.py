@@ -11,7 +11,7 @@ shared mutable state. Instead:
 1. a stateless ``map_batches`` projects each row to a slim identity row —
    the 128-bit content hash plus the order key (and the id when clusters
    are wanted); no within-batch combiner (see ``_keep_first_exchange``);
-2. one task hash exchange (``minhash._hash_exchange_tasks``) co-locates equal
+2. one task hash exchange (``exchange.hash_exchange``) co-locates equal
    identities — the bucket count is the exchange width, not the number of
    distinct keys;
 3. one Arrow-vectorized pass per bucket keeps the first row per identity in
@@ -183,7 +183,7 @@ def _keep_first_exchange(
     bucket. The payload never moves. ``counters`` receives ``n_input``
     (rows seen — block metadata of the materialized slim rows, so the input
     is not parsed again to count it)."""
-    from .minhash import _hash_exchange_tasks
+    from .exchange import hash_exchange
 
     slim_cols = list(dict.fromkeys([*([id_col] if id_col else []), *order_cols]))
 
@@ -209,7 +209,7 @@ def _keep_first_exchange(
         tie_cols=list(tie_cols),
         head_col=id_col if heads else None,
     )
-    return _hash_exchange_tasks(slimtab, "_k1", num_buckets, fn)
+    return hash_exchange(slimtab, "_k1", num_buckets, fn)
 
 
 def _drop_rows(t: pa.Table) -> pa.Table:
@@ -317,13 +317,13 @@ def dedup_exact_with_clusters(
         # full ties took the shuffle limb above
         counters["drops"] = n_drops
     drop_ref = ray.put(dtab.select([*order_cols, "_k1", "_k2"]))
-    from .minhash import _fetch_cached
+    from .exchange import fetch_cached
 
     def keep_filter(df: pd.DataFrame) -> pd.DataFrame:
         # two-stage membership: a cheap order-tuple hit pass over every row,
         # then the content identity recomputed ONLY for the hits (~n_drops
         # rows corpus-wide) and confirmed against the drop entry's key pair
-        tuples, full = _fetch_cached(
+        tuples, full = fetch_cached(
             drop_ref,
             lambda t: (
                 set(zip(*(t[c].to_pylist() for c in order_cols))),
@@ -381,12 +381,12 @@ def exact_drop_ids(
     fall back to a value-comparing dedup (``dedup_exact``'s shuffle limb).
     ``counters`` receives ``n_input`` (rows seen — the valid-count for
     free) when provided."""
-    from .minhash import _default_shuffle_buckets
+    from .exchange import default_shuffle_buckets
 
     tie_cols = list(dict.fromkeys([id_col, *order_cols]))
     return _keep_first_exchange(
         ds, list(key_cols), list(order_cols), id_col,
-        num_buckets or _default_shuffle_buckets(), tie_cols,
+        num_buckets or default_shuffle_buckets(), tie_cols,
         heads=False, counters=counters,
     )
 

@@ -120,9 +120,9 @@ def dup_span_stats(
     function of the hash, so the union of rounds is exactly the rounds=1
     answer). Size R ~= corpus_chars x 40 / usable_memory.
     """
-    from .minhash import _default_shuffle_buckets, _hash_exchange_tasks
+    from .exchange import default_shuffle_buckets, hash_exchange
 
-    B = num_buckets or _default_shuffle_buckets()
+    B = num_buckets or default_shuffle_buckets()
     if rounds < 1:
         raise ValueError("dup_span_stats needs rounds >= 1")
 
@@ -225,7 +225,7 @@ def dup_span_stats(
 
     src_ds = ds.select_columns([id_col, text_col])
     round_mats = [
-        _hash_exchange_tasks(
+        hash_exchange(
             src_ds.map_batches(
                 window_rows, fn_kwargs={"rnd": rnd}, batch_format="pyarrow"
             ),
@@ -359,13 +359,9 @@ def remove_dup_spans(
     prefilter disables itself and the unfiltered limb runs (limb-equal by
     the same argument, test-pinned).
     """
-    from .minhash import (
-        _default_shuffle_buckets,
-        _fetch_cached,
-        _hash_exchange_tasks,
-    )
+    from .exchange import default_shuffle_buckets, fetch_cached, hash_exchange
 
-    B = num_buckets or _default_shuffle_buckets()
+    B = num_buckets or default_shuffle_buckets()
     if rounds < 1:
         raise ValueError("remove_dup_spans needs rounds >= 1")
 
@@ -434,7 +430,7 @@ def remove_dup_spans(
             # cuts nor shift any multi-doc group's minimum (any doc sharing
             # a window with another is itself in the dup set). The exchange
             # volume becomes duplicated mass, not corpus mass.
-            sorted_hashes = _fetch_cached(dup_ref)
+            sorted_hashes = fetch_cached(dup_ref)
             doc_is_dup = _dup_mask(ids, sorted_hashes)
             keep = doc_is_dup[doc_idx]
             if not keep.all():
@@ -468,7 +464,7 @@ def remove_dup_spans(
 
     slim_src = ds.select_columns([id_col, text_col])
     mats = [
-        _hash_exchange_tasks(
+        hash_exchange(
             slim_src.map_batches(
                 window_rows, fn_kwargs={"rnd": rnd}, batch_format="pyarrow"
             ),
@@ -530,7 +526,7 @@ def remove_dup_spans(
             }
         )
 
-    cuts = _hash_exchange_tasks(
+    cuts = hash_exchange(
         cuts.map_batches(key_by_doc, batch_format="pyarrow"), "_db", B, merge_intervals
     ).materialize()
     n_cuts = cuts.count()
@@ -572,7 +568,7 @@ def remove_dup_spans(
                     for d, g in dfc.groupby("d", sort=False)
                 }
 
-            lookup = _fetch_cached(ref, build)
+            lookup = fetch_cached(ref, build)
             return rebuild_batch(t, lookup)
 
         return ds.map_batches(rebuild, batch_format="pyarrow")

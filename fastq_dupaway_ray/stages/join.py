@@ -62,7 +62,7 @@ def _first_per_key(
     slim_cols = [key, *ocols]
 
     from ..functions.hashing import hash64
-    from .minhash import _hash_exchange_tasks
+    from .exchange import hash_exchange
 
     def slim_map(t: pa.Table) -> pa.Table:
         cols = {c: t[c] for c in slim_cols}
@@ -99,7 +99,7 @@ def _first_per_key(
             schema=t.select(slim_cols).schema.append(pa.field("_ambig", pa.bool_())),
         )
 
-    drops = _hash_exchange_tasks(
+    drops = hash_exchange(
         ds.map_batches(slim_map, batch_format="pyarrow"), "_jkey", num_buckets, losers_tab
     )
     n_drops = drops.count()
@@ -112,7 +112,7 @@ def _first_per_key(
     if n_drops > drop_broadcast_budget or n_drops * 10 > ds.count():
         return _first_per_key_shuffle(ds, key, ocols, num_buckets)
 
-    from .minhash import _fetch_cached
+    from .exchange import fetch_cached
 
     ddf = drops.to_pandas()
     if bool(ddf["_ambig"].any()):
@@ -122,7 +122,7 @@ def _first_per_key(
     drop_ref = ray.put(pa.table({c: pa.array(ddf[c]) for c in slim_cols}))
 
     def keep_filter(df: pd.DataFrame) -> pd.DataFrame:
-        dlist = _fetch_cached(
+        dlist = fetch_cached(
             drop_ref, lambda t: set(zip(*(t[c].to_pylist() for c in slim_cols)))
         )
         idx = pd.MultiIndex.from_arrays([df[c] for c in slim_cols])
@@ -136,7 +136,7 @@ def _first_per_key_shuffle(ds: ray.data.Dataset, key: str, ocols, num_buckets: i
     reduce slices keep the real schema; a FULLY empty input falls back to the
     dataset's own schema so downstream hash joins still see the key column)."""
     from ..functions.hashing import hash64
-    from .minhash import _hash_exchange_tasks
+    from .exchange import hash_exchange
 
     try:
         schema = ds.schema()
@@ -163,7 +163,7 @@ def _first_per_key_shuffle(ds: ray.data.Dataset, key: str, ocols, num_buckets: i
         df = df.drop_duplicates(subset=[key], keep="first").drop(columns=["_jkey"])
         return pa.Table.from_pandas(df, preserve_index=False, schema=out_schema)
 
-    return _hash_exchange_tasks(
+    return hash_exchange(
         ds.map_batches(bucketize, batch_format="pyarrow"), "_jkey", num_buckets, first_tab
     )
 
@@ -220,7 +220,7 @@ def _broadcast_inner_join(
     import pyarrow as pa
     import ray as _ray
 
-    from .minhash import _fetch_cached
+    from .exchange import fetch_cached
 
     big, small = (l1, r1) if small_is_right else (r1, l1)
 
@@ -238,7 +238,7 @@ def _broadcast_inner_join(
     small_ref = _ray.put(small_tab)
 
     def merge(df: pd.DataFrame) -> pd.DataFrame:
-        sdf = _fetch_cached(small_ref, lambda t: t.to_pandas())
+        sdf = fetch_cached(small_ref, lambda t: t.to_pandas())
         if small_is_right:
             return df.merge(sdf, on=key, how="inner", suffixes=("_l", "_r"))
         return sdf.merge(df, on=key, how="inner", suffixes=("_l", "_r"))
@@ -283,7 +283,7 @@ def anti_join(
     import numpy as np
     import ray as _ray
 
-    from .minhash import _default_shuffle_buckets, _fetch_cached, _hash_exchange_tasks
+    from .exchange import default_shuffle_buckets, fetch_cached, hash_exchange
 
     from ..util import sorted_isin
 
@@ -303,7 +303,7 @@ def anti_join(
         ref = _ray.put(keys)
 
         def keep_unmatched(t: pa.Table) -> pa.Table:
-            ks = _fetch_cached(ref)
+            ks = fetch_cached(ref)
             v, valid = _key_values(t[key])
             # null-keyed left rows match nothing and survive
             return t.filter(pa.array(~(sorted_isin(v, ks) & valid)))
@@ -316,7 +316,7 @@ def anti_join(
     # Replaces the aggregator-actor ``Dataset.join`` limb (measured 15.6 s
     # at 4.12M x 2.06M rows in round 3 — the join's flat machinery cost,
     # not bytes moved; see BASELINE.md round-5 for the exchange timing).
-    B = _default_shuffle_buckets()
+    B = default_shuffle_buckets()
     # coalesce first: groupby-born datasets carry schema-less empty pandas
     # blocks (the failure util.coalesce_schema_blocks exists for), and the
     # per-block tag/exchange below needs one uniform Arrow schema
@@ -370,4 +370,4 @@ def anti_join(
     tagged = mat_left.map_batches(tag_left, batch_format="pyarrow").union(
         slim.map_batches(pad_right_arrow, batch_format="pyarrow")
     )
-    return _hash_exchange_tasks(tagged, "_kh", B, bucket_filter)
+    return hash_exchange(tagged, "_kh", B, bucket_filter)

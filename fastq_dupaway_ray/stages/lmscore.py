@@ -54,10 +54,10 @@ def unigram_logprob_scores(
     an integer keeps the V most frequent tokens (count-desc, token-asc
     tiebreak) and scores the rest with one pooled OOV probability.
     """
-    from .minhash import _default_shuffle_buckets, _fetch_cached, _hash_exchange_tasks
+    from .exchange import default_shuffle_buckets, fetch_cached, hash_exchange
 
     id_cols = list(id_cols)
-    B = _default_shuffle_buckets()
+    B = default_shuffle_buckets()
 
     def partial_counts(df: pd.DataFrame) -> pd.DataFrame:
         if len(df):
@@ -87,7 +87,7 @@ def unigram_logprob_scores(
         return agg.rename_columns(["token", "c"])
 
     slim = ds.select_columns([text_col]).map_batches(partial_counts, batch_format="pandas")
-    vocab_ds = _hash_exchange_tasks(slim, "_bkt", B, merge_counts)
+    vocab_ds = hash_exchange(slim, "_bkt", B, merge_counts)
     tabs = [t for t in ray.get(vocab_ds.to_arrow_refs()) if t.num_rows > 0]
     if not tabs:
         empty = {c: pa.array([], pa.int64()) for c in id_cols}
@@ -126,7 +126,7 @@ def unigram_logprob_scores(
                 oov,
             )
 
-        table, oov = _fetch_cached(ref, build)
+        table, oov = fetch_cached(ref, build)
         if not len(df):
             out = {c: df[c] for c in id_cols}
             out["logprob"] = pd.Series([], dtype=np.float64)

@@ -4,15 +4,15 @@ Generalizes the reference's exact set-membership dedup
 (/root/reference/src/hash_dup_remover.hpp:105-148) to Jaccard near-duplicates:
 
     shingle (char k-grams) -> K-permutation MinHash -> b band keys
-    -> groupby(band_key) -> candidate edges -> verify -> components
+    -> hash exchange on band_key -> candidate edges -> verify -> components
 
 Stage design for scale:
-* ``MinHashSigner`` is a **stateful actor pool** class: the permutation
-  coefficient matrix is built once per actor in ``__init__`` (ST5 in
-  SURVEY.md), batches stream through ``__call__``.
-* Band keys are emitted as an exploded slim table (band_key, doc id, order) —
-  b rows per doc, no text payload — so the candidate groupby shuffles only
-  ~b*16 bytes per document.
+* Signing is an elastic **task pool** (``sign_and_band``): the permutation
+  matrix is built once per worker process (``_cached_hasher``), so tasks
+  scale to whatever CPUs are free with no actor startup.
+* Band keys are emitted as an exploded slim table (band_key, doc id) — b
+  rows per doc, no text payload — and co-located by the task hash exchange
+  (``stages/exchange.py``), which ships only ~b*24 bytes per document.
 * Hot buckets (boilerplate pages) are handled two ways: a hard per-bucket
   cap with **star-edge emission** (each member pairs with the bucket minimum,
   O(n) edges instead of O(n^2)), and optional salting of oversized buckets.
@@ -29,38 +29,14 @@ import ray.data
 from ..functions.hashing import word_ngram_hashes
 from ..functions.sketches import MinHasher, MinHashParams
 from ..util import default_join_partitions
-
-SIG_COL = "_minhash_sig"
-
-
-class MinHashSigner:
-    """Actor-pool map_batches callable: text -> MinHash signature column.
-
-    __init__ cost (permutation matrix) is paid once per actor, not per batch.
-    """
-
-    def __init__(self, params: MinHashParams = MinHashParams(), text_col: str = "text"):
-        self.hasher = MinHasher(params)
-        self.text_col = text_col
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        texts = batch[self.text_col].to_pylist()
-        # batched signing for every scheme (classic lexsort-unique +
-        # per-perm reduceat; OPH flat scatter-min) — bit-identical to the
-        # per-doc path, test-pinned in tests/test_neardup.py
-        sigs = self.hasher.signatures_batch(texts)
-        sig_arr = pa.FixedSizeListArray.from_arrays(
-            pa.array(sigs.ravel(), pa.uint64()), self.hasher.params.num_perms
-        )
-        return batch.append_column(SIG_COL, sig_arr)
-
+from . import exchange
 
 _HASHER_CACHE: dict = {}
 
 
 def _cached_hasher(params: MinHashParams) -> MinHasher:
     """Once-per-worker-process MinHasher (permutation matrix) — the setup
-    cost lives here so the signer can run as an elastic TASK pool instead of
+    cost lives here so the signer runs as an elastic TASK pool instead of
     a fixed-size actor pool (tasks scale to whatever CPUs are free, with no
     actor-startup latency; the state is cheap to build and pure-functional)."""
     h = _HASHER_CACHE.get(params)
@@ -69,11 +45,16 @@ def _cached_hasher(params: MinHashParams) -> MinHasher:
     return h
 
 
-def _sign_and_band_table(
-    batch: pa.Table, hasher: MinHasher, text_col: str, id_col: str, order_cols,
+def sign_and_band(
+    batch: pa.Table,
+    params: MinHashParams = MinHashParams(),
+    text_col: str = "text",
+    id_col: str = "url",
+    order_cols=("warc_ts", "url"),
     numeric_ids: bool = False,
 ) -> pa.Table:
-    p = hasher.params
+    """Task-pool signer: text -> MinHash -> exploded band-key rows."""
+    hasher = _cached_hasher(params)
     texts = batch[text_col].to_pylist()
     sigs = hasher.signatures_batch(texts)
     keys = hasher.band_keys_batch(sigs)
@@ -90,68 +71,29 @@ def _sign_and_band_table(
         return pa.table(
             {
                 "band_key": pa.array(keys.ravel(), pa.uint64()),
-                "h1": pa.array(np.repeat(h1, p.bands), pa.uint64()),
-                "h2": pa.array(np.repeat(h2, p.bands), pa.uint64()),
+                "h1": pa.array(np.repeat(h1, params.bands), pa.uint64()),
+                "h2": pa.array(np.repeat(h2, params.bands), pa.uint64()),
             }
         )
     cols = {
         "band_key": pa.array(keys.ravel(), pa.uint64()),
-        # ids repeat ``bands`` times each; dict_encode=True would ship each
-        # url's bytes once per block + int32 indices, but MEASURED SLOWER
-        # end-to-end on this single node (+10s/1M docs at 32 CPUs: Arrow
+        # ids repeat ``bands`` times each; dictionary-encoding them would
+        # ship each url's bytes once per block + int32 indices, but MEASURED
+        # SLOWER end-to-end on a single node (+10s/1M docs at 32 CPUs: Arrow
         # dictionary unification in the shuffle reduce outweighs the wire
         # savings when "the wire" is shared memory). Revisit on a real
         # multi-node cluster where network bytes dominate.
-        id_col: _repeat_col(batch[id_col], p.bands),
+        id_col: _repeat_col(batch[id_col], params.bands),
     }
     for c in order_cols:
-        cols[c] = _repeat_col(batch[c], p.bands)
+        if c != id_col:
+            cols[c] = _repeat_col(batch[c], params.bands)
     return pa.table(cols)
 
 
-def sign_and_band(
-    batch: pa.Table,
-    params: MinHashParams = MinHashParams(),
-    text_col: str = "text",
-    id_col: str = "url",
-    order_cols=("warc_ts", "url"),
-    numeric_ids: bool = False,
-) -> pa.Table:
-    """Stateless task form of the signer — the default hot path."""
-    order_cols = [c for c in order_cols if c != id_col]
-    return _sign_and_band_table(
-        batch, _cached_hasher(params), text_col, id_col, order_cols, numeric_ids=numeric_ids
-    )
-
-
-class SignAndBand:
-    """Fused actor-pool stage: text -> MinHash -> exploded band-key rows.
-
-    One pool instead of two (signer + emitter): at small CPU counts two
-    stacked pools can pin every core and starve the downstream shuffle; fusing
-    also skips materializing the signature column when only bands are needed.
-    Prefer the task form (``sign_and_band``) unless you need a bounded pool.
-    """
-
-    def __init__(self, params: MinHashParams = MinHashParams(), text_col: str = "text", id_col: str = "url", order_cols=("warc_ts", "url"), numeric_ids: bool = False):
-        self.hasher = MinHasher(params)
-        self.text_col = text_col
-        self.id_col = id_col
-        self.order_cols = [c for c in order_cols if c != id_col]
-        self.numeric_ids = numeric_ids
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return _sign_and_band_table(
-            batch, self.hasher, self.text_col, self.id_col, self.order_cols,
-            numeric_ids=self.numeric_ids,
-        )
-
-
-def _repeat_col(arr, times: int, dict_encode: bool = False):
+def _repeat_col(arr, times: int):
     if isinstance(arr, pa.ChunkedArray):
         arr = arr.combine_chunks()
-    if dict_encode and (pa.types.is_string(arr.type) or pa.types.is_large_string(arr.type)):
-        arr = arr.dictionary_encode()
     idx = np.repeat(np.arange(len(arr), dtype=np.int64), times)
     return arr.take(pa.array(idx))
 
@@ -163,7 +105,6 @@ def lsh_candidate_edges(
     max_bucket: int = 256,
     num_shuffle_buckets: int | None = None,
     emit_edge_bucket: int | None = None,
-    exchange: str = "tasks",
     numeric_ids: bool = False,
 ) -> ray.data.Dataset:
     """band rows -> star candidate edges (a, b) with a = LSH-bucket head.
@@ -177,35 +118,19 @@ def lsh_candidate_edges(
     connectivity at O(n) edges with no per-head hot spot and no recall loss
     (the north rule's salted-band-keys requirement).
 
-    Shuffle shape: two-level bucketing. A direct groupby(band_key).map_groups
-    would pay one Python call per band bucket (millions); instead rows are
-    hash-partitioned into ``num_shuffle_buckets`` coarse buckets (the shuffle
-    width) and each bucket runs ONE vectorized pandas groupby over all its
-    band keys.
+    Shuffle shape: the task hash exchange (``exchange.hash_exchange``)
+    co-locates complete band buckets by ``band_key % B``; each of the B
+    reduce tasks sorts its rows once and runs the vectorized star pass over
+    all its band keys (no per-bucket Python call). Edge output is
+    bit-identical for any B.
 
     ``emit_edge_bucket``: when set, each emitted edge also carries an
     ``_ebucket = hash(a) % emit_edge_bucket`` column, so the caller's
-    duplicate-edge groupby can shuffle DIRECTLY on it — fusing what used to
-    be a separate bucketize pass over the whole edge list (one fewer task
-    round between the two shuffles).
-
-    ``exchange`` picks the physical shuffle:
-    * ``"tasks"`` (default) — a manual hash exchange with raw Ray tasks:
-      each band-row block is split into B bucket slices (one stable argsort
-      + zero-copy Arrow slices, num_returns=B), and B reduce tasks concat
-      their slices and run the star pass; the edge blocks re-enter Ray Data
-      via ``from_arrow_refs``. Chosen by measurement: Ray Data's sort-based
-      ``groupby().map_groups`` costs a flat ~13-16 s for this 16.5M-row
-      exchange at 1M docs regardless of CPU count (and the 2.49 hash-shuffle
-      strategy measured 47-74 s); the task exchange does the identical
-      grouping in 2.3-2.8 s. Partitioning assumption: bucket = band_key % B
-      co-locates complete band buckets — exactly what groupby provided; edge
-      output is bit-identical for any B.
-    * ``"groupby"`` — the Dataset-native path (kept as the multi-node-
-      robustness fallback; Ray's shuffle handles spill/locality for free).
+    duplicate-edge exchange can route DIRECTLY on it, with no separate
+    bucketize pass over the whole edge list.
     """
     order_cols = [c for c in order_cols]
-    B = num_shuffle_buckets or _default_shuffle_buckets()
+    B = num_shuffle_buckets or exchange.default_shuffle_buckets()
 
     def per_bucket_numeric(t: pa.Table) -> pa.Table:
         """Numeric-spine star pass: ids are (h1, h2) uint64 pairs, the sort
@@ -241,10 +166,6 @@ def lsh_candidate_edges(
                 (h1[ai] % np.uint64(emit_edge_bucket)).astype(np.int64), pa.int64()
             )
         return pa.table(cols)
-
-    def bucketize(t: pa.Table) -> pa.Table:
-        bkt = (t["band_key"].to_numpy() % np.uint64(B)).astype(np.int64)
-        return t.append_column("_bkt", pa.array(bkt, pa.int64()))
 
     def per_bucket(t: pa.Table) -> pa.Table:
         # ARROW-NATIVE on purpose: a pandas batch_format here materializes
@@ -286,13 +207,7 @@ def lsh_candidate_edges(
         return pa.table(cols)
 
     fn = per_bucket_numeric if numeric_ids else per_bucket
-    if exchange == "tasks":
-        return _hash_exchange_tasks(band_rows, "band_key", B, fn)
-    return (
-        band_rows.map_batches(bucketize, batch_format="pyarrow")
-        .groupby("_bkt")
-        .map_groups(fn, batch_format="pyarrow")
-    )
+    return exchange.hash_exchange(band_rows, "band_key", B, fn)
 
 
 def _star_edge_indices(bk: np.ndarray, max_bucket: int):
@@ -330,171 +245,7 @@ def _star_edge_indices(bk: np.ndarray, max_bucket: int):
     return ai, bi
 
 
-def _as_arrow_block(b):
-    """Datasets whose lineage ran a pandas map_batches materialize pandas
-    blocks; the exchange is Arrow-native, so lift those on entry."""
-    if isinstance(b, pa.Table):
-        return b
-    import pandas as pd
-
-    if isinstance(b, pd.DataFrame):
-        return pa.Table.from_pandas(b, preserve_index=False)
-    return pa.table(b)
-
-
-@ray.remote
-def _exchange_map(key: str, B: int, *blocks):
-    """Split a GROUP of blocks into B bucket slices (one concat + stable
-    argsort by key % B + zero-copy Arrow slices). Deterministic, so Ray task
-    retries are safe. Maps take several blocks each so the slice matrix is
-    ~(2 x CPUs) x B objects — one slice object per (input block, bucket)
-    was measured as the dominant exchange overhead at high CPU counts
-    (500 blocks x 128 buckets = 64k tiny refs for the reducers to fetch)."""
-    blocks = [_as_arrow_block(b) for b in blocks]
-    parts = [b for b in blocks if b.num_rows]
-    if not parts:
-        # pandas-lineage datasets can hold schema-less empty blocks — slice
-        # the richest schema so downstream column selects keep working
-        empty = max(blocks, key=lambda b: b.num_columns).slice(0, 0)
-        return [empty] * B if B > 1 else empty
-    block = parts[0] if len(parts) == 1 else pa.concat_tables(parts).combine_chunks()
-    vals = block[key].to_numpy().astype(np.uint64, copy=False)
-    bkt = (vals % np.uint64(B)).astype(np.int64)
-    order = np.argsort(bkt, kind="stable")
-    t = block.take(pa.array(order))
-    bounds = np.searchsorted(bkt[order], np.arange(B + 1))
-    out = [t.slice(bounds[i], bounds[i + 1] - bounds[i]) for i in range(B)]
-    return out if B > 1 else out[0]
-
-
-@ray.remote
-def _exchange_reduce(fn, *shards):
-    """Concat one bucket's slices from every map task and run the group fn."""
-    shards = [_as_arrow_block(s) for s in shards]
-    parts = [s for s in shards if s.num_rows]
-    if not parts:
-        if not shards:
-            return None
-        return fn(max(shards, key=lambda s: s.num_columns).slice(0, 0))
-    return fn(pa.concat_tables(parts).combine_chunks())
-
-
-def _nonempty_block_refs(ds: ray.data.Dataset) -> list:
-    """Materialized block refs with zero-row blocks dropped by METADATA.
-
-    Zero-row blocks are not merely empty — they can be SCHEMA-LESS (zero
-    columns): a lazy map over an empty block yields no batches, and Ray's
-    read_parquet of a zero-row part file (an empty checkpoint) emits
-    column-less blocks. Any consumer that indexes columns must skip them."""
-    mat = ds.materialize()
-    return [
-        ref
-        for bundle in mat.iter_internal_ref_bundles()
-        for ref, meta in bundle.blocks
-        if meta.num_rows is None or meta.num_rows > 0
-    ]
-
-
-_EXCHANGE_ROWS_PER_REDUCER = 4096
-_EXCHANGE_BYTES_PER_REDUCER = 4 << 20
-
-
-def _exchange_fanout(b_cap: int, rows: int, size_bytes: int, rows_known: bool = True) -> int:
-    """Reduce-task count for a hash exchange, capped at the configured
-    bucket count and sized by BOTH row count and byte volume.
-
-    Rows alone under-size wide exchanges: band rows vary 16-64 B but
-    payload-shuffle fallbacks carry KB-scale text rows, where 4096 rows is
-    megabytes per reducer x a skew factor. The bytes floor keeps per-reducer
-    volume bounded (~4 MB) regardless of row width, while tiny oracle-scale
-    exchanges still collapse to one task instead of paying ``b_cap``
-    scheduling costs. ``b_cap`` already scales with cluster CPUs
-    (``_default_shuffle_buckets``) — a pure function so multi-node sizings
-    are testable without a cluster."""
-    if not rows_known:
-        return b_cap
-    by_rows = rows // _EXCHANGE_ROWS_PER_REDUCER
-    by_bytes = (size_bytes or 0) // _EXCHANGE_BYTES_PER_REDUCER
-    return max(1, min(b_cap, max(by_rows, by_bytes)))
-
-
-def _hash_exchange_tasks(ds: ray.data.Dataset, key: str, B: int, fn) -> ray.data.Dataset:
-    """Manual hash exchange: co-locate rows by ``key % B`` across ``B``
-    reduce tasks, apply ``fn`` per bucket, return the results as a Dataset.
-
-    Raw Ray tasks on purpose — this is the documented last-resort drop-down:
-    the Dataset sort-groupby pays a flat double-digit-seconds machinery cost
-    for multi-million-row exchanges on slim rows (see ``lsh_candidate_edges``
-    measurements), while map-side argsort + zero-copy slices + one concat per
-    reducer is bounded by actual bytes moved. Every intermediate stays in the
-    object store (map returns ``num_returns=B`` slice objects; reducers fetch
-    only their column of the slice matrix — on multi-node, Ray fetches those
-    slices over the network exactly like shuffle blocks).
-    """
-    mat = ds.materialize()
-    refs, rows, size_bytes, rows_known = [], 0, 0, True
-    for bundle in mat.iter_internal_ref_bundles():
-        for ref, meta in bundle.blocks:
-            if meta.num_rows is None:
-                refs.append(ref)
-                rows_known = False
-            elif meta.num_rows > 0:  # zero-row blocks can be SCHEMA-LESS
-                refs.append(ref)
-                rows += meta.num_rows
-                size_bytes += meta.size_bytes or 0
-    if not refs:
-        return ray.data.from_arrow(fn(None))
-    B = _exchange_fanout(B, rows, size_bytes, rows_known)
-    if B <= 1:
-        red = [_exchange_reduce.remote(fn, *refs)]
-    else:
-        # group input blocks so the map side is ~2x CPUs tasks, not one per
-        # block — the slice-object count (maps x B) is the exchange's real
-        # fixed cost and grows with both cluster width and block count
-        n_maps = max(1, min(len(refs), int(ray.cluster_resources().get("CPU", 8)) * 2))
-        step = (len(refs) + n_maps - 1) // n_maps
-        groups = [refs[i : i + step] for i in range(0, len(refs), step)]
-        split = [
-            _exchange_map.options(num_returns=B).remote(key, B, *g) for g in groups
-        ]
-        red = [_exchange_reduce.remote(fn, *[s[j] for s in split]) for j in range(B)]
-    return ray.data.from_arrow_refs(red)
-
-
-def _default_shuffle_buckets(mult: int = 4) -> int:
-    try:
-        import ray
-
-        return max(8, int(ray.cluster_resources().get("CPU", 8)) * mult)
-    except Exception:
-        return 32
-
-
-_OBJ_CACHE: dict = {}
-_OBJ_CACHE_MAX = 8  # bounded: stale entries pin plasma objects + worker heap
-
-
-def _fetch_cached(ref, build=None):
-    """Once-per-worker-process ray.get (+ optional index build) — avoids
-    re-deserializing a broadcast object on every batch of a task-pool stage.
-
-    Broadcast PYTHON containers (dict/set of strings) deserialize slowly and
-    do so once per worker — at high parallelism that fixed cost scales WITH
-    the worker count and inverts scaling. Broadcast Arrow tables/arrays
-    instead (zero-copy from plasma) and pass ``build`` to construct the
-    worker-local dict/set exactly once. The cache is insertion-order bounded:
-    an unbounded cache pins every past run's broadcast (measured: verify
-    trials in one session degrading 13s -> 25s as dead indexes accumulate)."""
-    key = ref.hex()
-    val = _OBJ_CACHE.get(key)
-    if val is None:
-        obj = ray.get(ref)
-        while len(_OBJ_CACHE) >= _OBJ_CACHE_MAX:
-            _OBJ_CACHE.pop(next(iter(_OBJ_CACHE)))
-        val = _OBJ_CACHE.setdefault(key, build(obj) if build is not None else obj)
-    return val
-
-
+_EDGE_HASH_COLS = ("ah1", "ah2", "bh1", "bh2")  # numeric-spine edge endpoints
 _IDX_SALT = np.uint64(0xC2B2AE3D27D4EB4F)
 
 
@@ -533,22 +284,9 @@ def _unique_pairs(q1: np.ndarray, q2: np.ndarray):
 def _edge_endpoint_pairs(block):
     """Unique (h1, h2) endpoint pairs from a NUMERIC edge block — the
     endpoints already are id-hash pairs, so this is a pure uint64 unique."""
-    block = _as_arrow_block(block)  # internal refs can be pandas blocks
+    block = exchange.as_arrow_block(block)  # internal refs can be pandas blocks
     q1 = np.concatenate([block["ah1"].to_numpy(), block["bh1"].to_numpy()])
     q2 = np.concatenate([block["ah2"].to_numpy(), block["bh2"].to_numpy()])
-    return _unique_pairs(q1, q2)
-
-
-@ray.remote
-def _edge_endpoint_hashes(block):
-    """Unique (h1, h2) id-hash pairs over one edge block's a+b endpoints."""
-    block = _as_arrow_block(block)  # internal refs can be pandas blocks
-    arrs = []
-    for c in ("a", "b"):
-        col = block[c]
-        arrs.append(col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col)
-    arr = pa.concat_arrays(arrs)
-    q1, q2 = _id_hash_pair(arr.to_numpy(zero_copy_only=False).astype(object))
     return _unique_pairs(q1, q2)
 
 
@@ -632,7 +370,7 @@ _SLOT = np.int64(1) << np.int64(48)  # composite key: shard * _SLOT + slot
 @ray.remote
 def _route_index_shard(n_shards: int, *blocks):
     """Split a group of picked blocks into per-shard slices by h1 top bits
-    (same concat + stable-argsort + zero-copy-slice shape as _exchange_map)."""
+    (same concat + stable-argsort + zero-copy-slice shape as the exchange map)."""
     parts = [b for b in blocks if b.num_rows]
     if not parts:
         empty = blocks[0].slice(0, 0)
@@ -776,7 +514,7 @@ def _score_edges_numeric_shards(
     else:
         empty = pa.table(
             {
-                **{c: pa.array([], pa.uint64()) for c in ("ah1", "ah2", "bh1", "bh2")},
+                **{c: pa.array([], pa.uint64()) for c in _EDGE_HASH_COLS},
                 "jaccard": pa.array([], pa.float64()),
             }
         )
@@ -870,7 +608,7 @@ def _score_edges_task(
     per EB block left straggler waves at 32 CPUs. ``text_refs`` stay
     UNRESOLVED (plain ObjectRefs in a list) so a task whose pairs are all
     byte-identical never ships a text shard."""
-    block = _as_arrow_block(block)  # internal refs can be pandas blocks
+    block = exchange.as_arrow_block(block)  # internal refs can be pandas blocks
     if n_pieces > 1:
         n = block.num_rows
         start = (n * piece) // n_pieces
@@ -880,38 +618,6 @@ def _score_edges_task(
     return _score_edges_numeric_shards(
         block, shards, spec, threshold, text_refs=text_refs, emit_ids=emit_ids
     )
-
-
-def _index_lookup_texts(index, want_ids: np.ndarray):
-    """(texts list, th1, th2) for ``want_ids`` from a ready
-    (h1, h2, texts, order, th1, th2) index — missing ids get text None and
-    the content hash of "". The index is assembled ONCE — on the driver or
-    in one remote task — and broadcast ready-to-use: building it per worker
-    is a broadcast tax that grows with cluster size (measured ~1-8 s per
-    worker at ~460k endpoints — it alone inverted 8->32 CPU scaling). Texts
-    stay zero-copy Arrow; the 128-bit check makes a wrong-text lookup as
-    unlikely as the engine's exact-dedup identity collisions (~2^-128)."""
-    from ..functions.hashing import hash64
-
-    h1s, h2s, text_arr, order = index[:4]
-    ith1, ith2 = index[4], index[5]
-    empty = np.array([""], dtype=object)
-    e1, e2 = hash64(empty)[0], hash64(empty, alt_key=True)[0]
-    n = len(h1s)
-    if n == 0:
-        k = len(want_ids)
-        return (
-            [None] * k,
-            np.full(k, e1, dtype=np.uint64),
-            np.full(k, e2, dtype=np.uint64),
-        )
-    q1, q2 = _id_hash_pair(want_ids)
-    pos, found = _pair_lookup_pos(h1s, h2s, q1, q2)
-    take = order[pos]
-    out = text_arr.take(pa.array(take)).to_pylist()
-    th1 = np.where(found, ith1[take], e1)
-    th2 = np.where(found, ith2[take], e2)
-    return [t if ok else None for t, ok in zip(out, found)], th1, th2
 
 
 def _shingle_sets(spec, texts) -> tuple:
@@ -983,46 +689,6 @@ def pairwise_jaccard(
     return out
 
 
-def _verify_score_batch(df: pd.DataFrame, texts_ref, spec, threshold: float) -> pd.DataFrame:
-    """Exact-Jaccard scoring of one edge batch: shingle each unique endpoint
-    once (numpy polynomial hashing per doc; texts pulled zero-copy from the
-    broadcast Arrow index), then the searchsorted pairwise_jaccard kernel.
-
-    Byte-identical endpoints short-circuit: a pair whose texts agree on a
-    128-bit content hash has Jaccard exactly 1 — no shingling needed. On
-    dup-heavy web corpora the bulk of candidate edges are exact copies, so
-    this removes most of the verify CPU (the reference's equal-hash fast path
-    before byte compare, /root/reference/src/hash_dup_remover.hpp:122-139)."""
-    from ..functions.hashing import hash64
-
-    # texts_ref holds the READY (h1, h2, texts, order, th1, th2) index
-    # assembled remotely — zero per-worker build (numpy/Arrow components come
-    # back zero-copy from the object store); the content hashes were
-    # computed once per endpoint there, so no per-batch full-text re-hash
-    index = _fetch_cached(texts_ref)
-    ids = pd.unique(np.concatenate([df["a"].to_numpy(), df["b"].to_numpy()]))
-    batch_texts, th1, th2 = _index_lookup_texts(index, np.asarray(ids, dtype=object))
-    texts_arr = np.array([t or "" for t in batch_texts], dtype=object)
-    # vectorized id -> endpoint slot (hash-based C indexer, not per-row .map)
-    idx = pd.Index(ids)
-    a_idx = idx.get_indexer(df["a"]).astype(np.int64)
-    b_idx = idx.get_indexer(df["b"]).astype(np.int64)
-    same = (th1[a_idx] == th1[b_idx]) & (th2[a_idx] == th2[b_idx])
-    jac = np.ones(len(df), dtype=np.float64)
-    rest = np.nonzero(~same)[0]
-    if len(rest):
-        need = np.unique(np.concatenate([a_idx[rest], b_idx[rest]]))
-        remap = np.full(len(ids), -1, dtype=np.int64)
-        remap[need] = np.arange(len(need))
-        allv, starts, counts = _shingle_sets(spec, texts_arr[need])
-        jac[rest] = pairwise_jaccard(
-            remap[a_idx[rest]], remap[b_idx[rest]], allv, starts, counts
-        )
-    out = df[["a", "b"]].copy()
-    out["jaccard"] = jac
-    return out[out["jaccard"] >= threshold]
-
-
 def build_endpoint_index(
     edges: ray.data.Dataset,
     pages: ray.data.Dataset,
@@ -1043,7 +709,7 @@ def build_endpoint_index(
     from ..functions.hashing import hash64
 
     ep_parts = ray.get(
-        [_edge_endpoint_pairs.remote(r) for r in _nonempty_block_refs(edges)]
+        [_edge_endpoint_pairs.remote(r) for r in exchange.nonempty_block_refs(edges)]
     )
     eh1, eh2 = _unique_pairs(
         np.concatenate([p[0] for p in ep_parts] or [np.empty(0, np.uint64)]),
@@ -1067,7 +733,7 @@ def build_endpoint_index(
         # content-hash pair (_th1, _th2) is also computed here, in the
         # parallel corpus scan: scorers resolve byte-identical pairs from
         # these 16 bytes without touching the text itself.
-        eps = _fetch_cached(ep_ref)
+        eps = exchange.fetch_cached(ep_ref)
         ids = t[id_col].to_numpy(zero_copy_only=False).astype(object)
         q1, q2 = _id_hash_pair(ids)
         mask = _id_member_mask_pre(eps, q1, q2)
@@ -1096,12 +762,9 @@ def build_endpoint_index(
     ]
     if not block_refs:
         return [], [], attrs_present
-    n_maps = max(1, min(len(block_refs), int(ray.cluster_resources().get("CPU", 8)) * 2))
-    step = (len(block_refs) + n_maps - 1) // n_maps
-    groups = [block_refs[i : i + step] for i in range(0, len(block_refs), step)]
     routed = [
         _route_index_shard.options(num_returns=_INDEX_SHARDS).remote(_INDEX_SHARDS, *g)
-        for g in groups
+        for g in exchange.group_for_maps(block_refs)
     ]
     assembled = [
         _assemble_index_shard.remote(id_col, text_col, attrs_present, *[r[s] for r in routed])
@@ -1118,287 +781,88 @@ def verify_edges_jaccard(
     id_col: str = "url",
     text_col: str = "text",
     num_partitions: int | None = None,
-    broadcast_edge_budget: int | None = None,
-    spread: bool = True,
+    broadcast_edge_budget: int = 16_000_000,
     attr_cols=(),
     out: dict | None = None,
     emit_ids: bool = True,
 ) -> ray.data.Dataset:
-    """Exact-Jaccard verification of candidate edges against the real shingles.
-
-    ``spread=False`` skips the pre-scoring repartition — pass it when the
-    edge list is already distributed over enough blocks (e.g. the fused
-    edge-dedup groupby emits ~2x-CPU blocks); the repartition is an
-    all-to-all barrier worth avoiding at scale.
+    """Exact-Jaccard verification of NUMERIC candidate edges (``ah1, ah2,
+    bh1, bh2`` id-hash pairs, as ``lsh_candidate_edges(numeric_ids=True)``
+    emits them) against the real shingles. Other edge schemas raise
+    ``ValueError``.
 
     Dispatch on edge-list size (the candidate relation is a few % of the
     corpus by LSH design):
 
-    * small side (default): collect the edge endpoints, stream ONE filter
-      pass over the corpus to pull just their texts, broadcast that id->text
-      map via ``ray.put``, and score edges in an elastic task pool — zero
-      shuffles, no join actors. This is the fast path at every scale where
-      the endpoint text map fits the object store (~GBs).
-    * fallback: two distributed hash joins (the original formulation) when
-      the edge list exceeds ``broadcast_edge_budget``.
+    * small side (default): one parallel corpus scan picks the endpoint
+      texts into a sharded index (``build_endpoint_index``) and raw tasks
+      score the edge blocks against it — zero shuffles, no join actors. The
+      driver only merges 16 B/endpoint uint64 pairs: 16M edges is ~512 MB
+      of driver scratch, well under one worker's heap.
+    * fallback: two distributed hash joins (``_verify_edges_join_numeric``)
+      when the edge list exceeds ``broadcast_edge_budget``.
 
-    ``attr_cols``: extra columns the pick pass carries into the (numeric)
-    endpoint index — apply_cluster_labels reuses them to skip its own
-    corpus attach pass. ``out``: optional dict receiving ``index_shards``
-    (list of shard refs) + ``attr_cols`` when the numeric broadcast limb ran.
+    ``attr_cols``: extra columns the pick pass carries into the endpoint
+    index — apply_cluster_labels reuses them to skip its own corpus attach
+    pass. ``out``: optional dict receiving ``index_shards`` (list of shard
+    refs) + ``attr_cols`` when the broadcast limb ran.
 
-    Returns edges with a ``jaccard`` column filtered to >= threshold.
-    ``edges`` should be materialized by the caller (it is counted here).
+    Returns (a, b, jaccard) string-id edges filtered to >= threshold, or
+    (ah1, ah2, bh1, bh2, jaccard) with ``emit_ids=False`` (broadcast limb
+    only). ``edges`` should be materialized by the caller (it is counted
+    here).
     """
-    numeric = "ah1" in edges.schema().names
-    if not numeric:
-        emit_ids = True  # string edges in = string edges out (single path)
-    if broadcast_edge_budget is None:
-        # numeric spine: the driver only ever merges 16 B/endpoint uint64
-        # pairs and the broadcast is two sorted uint64 arrays — 16M edges is
-        # ~512 MB of driver scratch, well under one worker's heap. The string
-        # limb hashes endpoint STRINGS in remote tasks but broadcasts more;
-        # keep its budget conservative. Above budget: distributed hash joins.
-        broadcast_edge_budget = 16_000_000 if numeric else 2_000_000
+    names = edges.schema().names
+    if not set(_EDGE_HASH_COLS) <= set(names):
+        raise ValueError(
+            f"verify_edges_jaccard needs numeric edges with columns {list(_EDGE_HASH_COLS)}"
+            f" (lsh_candidate_edges(numeric_ids=True)); got {names}"
+        )
+    spec = (params.shingle, params.word_n if params.shingle == "word" else params.shingle_k)
+
+    def empty() -> ray.data.Dataset:
+        # keep the empty schema consistent with the non-empty output
+        no_edges = pa.table({c: pa.array([], pa.uint64()) for c in _EDGE_HASH_COLS})
+        return ray.data.from_arrow(
+            _score_edges_numeric_shards(no_edges, [], spec, threshold, emit_ids=emit_ids)
+        )
+
     n_edges = edges.count()
     if n_edges == 0:
-        if numeric:
-            # keep the empty schema consistent with the non-empty output
-            if emit_ids:
-                return ray.data.from_arrow(
-                    pa.table(
-                        {
-                            "a": pa.array([], pa.string()),
-                            "b": pa.array([], pa.string()),
-                            "jaccard": pa.array([], pa.float64()),
-                        }
-                    )
-                )
-            return ray.data.from_arrow(
-                pa.table(
-                    {
-                        **{c: pa.array([], pa.uint64()) for c in ("ah1", "ah2", "bh1", "bh2")},
-                        "jaccard": pa.array([], pa.float64()),
-                    }
-                )
-            )
-        return edges
-    if n_edges <= broadcast_edge_budget:
-        if numeric:
-            # SHARDED endpoint index + raw-task scorer (the flagship hot
-            # path); see build_endpoint_index for the scan/shard design
-            shard_refs, text_refs, attrs_present = build_endpoint_index(
-                edges, pages, id_col=id_col, text_col=text_col, attr_cols=attr_cols
-            )
-            spec = (
-                params.shingle,
-                params.word_n if params.shingle == "word" else params.shingle_k,
-            )
-            if not shard_refs:
-                return ray.data.from_arrow(
-                    _score_edges_numeric_shards(
-                        pa.table(
-                            {c: pa.array([], pa.uint64()) for c in ("ah1", "ah2", "bh1", "bh2")}
-                        ),
-                        [],
-                        spec,
-                        threshold,
-                        emit_ids=emit_ids,
-                    )
-                )
-            if out is not None:
-                out["index_shards"] = shard_refs
-                out["attr_cols"] = attrs_present
-            edge_refs = _nonempty_block_refs(edges)
-            if not edge_refs:
-                return ray.data.from_arrow(
-                    _score_edges_numeric_shards(
-                        pa.table({c: pa.array([], pa.uint64()) for c in ("ah1", "ah2", "bh1", "bh2")}),
-                        [], spec, threshold, emit_ids=emit_ids,
-                    )
-                )
-            # fan scoring wider than the EB exchange width: ~3 tasks per CPU
-            # absorbs stragglers (shingle cost varies per bucket)
-            per_block = max(
-                1,
-                -(-int(ray.cluster_resources().get("CPU", 8)) * 3 // max(len(edge_refs), 1)),
-            )
-            scored = [
-                _score_edges_task.remote(
-                    b, shard_refs, text_refs, spec, threshold,
-                    piece=i, n_pieces=per_block, emit_ids=emit_ids,
-                )
-                for b in edge_refs
-                for i in range(per_block)
-            ]
-            return ray.data.from_arrow_refs(scored)
-        # ---- string limb: endpoint hash set built WITHOUT the edge strings
-        # ever visiting the driver: per-block remote tasks hash (a, b)
-        # endpoints and pre-unique them; the driver only merges uint64 pairs
-        ep_remote = _edge_endpoint_hashes
-        ep_parts = ray.get(
-            [ep_remote.remote(r) for r in _nonempty_block_refs(edges)]
-        )
-        eh1, eh2 = _unique_pairs(
-            np.concatenate([p[0] for p in ep_parts] or [np.empty(0, np.uint64)]),
-            np.concatenate([p[1] for p in ep_parts] or [np.empty(0, np.uint64)]),
-        )
-        ep_ref = ray.put((eh1, eh2))
-
-        # the string-limb index carries only id + text: its scorer
-        # (_verify_score_batch) resolves byte-identical pairs from text
-        # hashes it computes per batch, so precomputing _th1/_th2 or attr
-        # columns here would be work the assemble step immediately discards
-        # (the NUMERIC limb's richer index is built in build_endpoint_index)
-        pick_cols = [id_col, text_col]
-
-        def pick(t: pa.Table) -> pa.Table:
-            # emit the id hashes computed for the membership test — the
-            # assemble tasks below build the READY lookup index from them, so
-            # scorer workers never hash/convert the endpoint ids themselves
-            eps = _fetch_cached(ep_ref)
-            ids = t[id_col].to_numpy(zero_copy_only=False).astype(object)
-            q1, q2 = _id_hash_pair(ids)
-            mask = _id_member_mask_pre(eps, q1, q2)
-            out = t.select(pick_cols).filter(pa.array(mask))
-            out = out.append_column("_h1", pa.array(q1[mask], pa.uint64()))
-            return out.append_column("_h2", pa.array(q2[mask], pa.uint64()))
-
-        # the endpoint texts never touch the driver: picked blocks stay in
-        # the object store and remote tasks assemble them into the READY
-        # broadcast index (sorted hash arrays + zero-copy Arrow texts)
-        # the scorers fetch. Building the index per WORKER instead (round-2
-        # design) cost several CPU-seconds x every worker — a per-worker
-        # broadcast tax that grows with cluster size and inverts scaling.
-        picked = (
-            pages.select_columns(pick_cols)
-            .map_batches(pick, batch_format="pyarrow")
-            .materialize()
-        )
-
-        @ray.remote
-        def _assemble(*blocks):
-            tabs = [
-                b if isinstance(b, pa.Table) else pa.Table.from_pandas(b, preserve_index=False)
-                for b in blocks
-            ]
-            # pandas-backed pipelines emit empty blocks whose inferred schema
-            # (null types) mismatches the real one — keep non-empty only and
-            # unify to the first real schema before concat
-            cols = [id_col, text_col, "_h1", "_h2"]
-            tabs = [t for t in tabs if t.num_rows > 0]
-            if not tabs:
-                empty = np.empty(0, dtype=np.uint64)
-                none_arr = pa.array([], pa.string())
-                return empty, empty, none_arr, np.empty(0, np.int64), empty, empty
-            schema = tabs[0].select(cols).schema
-            tab = pa.concat_tables([t.select(cols).cast(schema) for t in tabs])
-            h1 = tab["_h1"].to_numpy()
-            h2 = tab["_h2"].to_numpy()
-            order = np.argsort(h1, kind="stable").astype(np.int64)
-            texts = tab[text_col]
-            if isinstance(texts, pa.ChunkedArray):
-                texts = texts.combine_chunks()
-            # the text content-hash pair is computed HERE, once per endpoint —
-            # the scorer's byte-identical shortcut otherwise re-SipHashes
-            # every unique endpoint's full text on every edge batch it
-            # appears in (endpoints recur across batches)
-            from ..functions.hashing import hash64
-
-            tnorm = np.array(
-                [t if isinstance(t, str) else "" for t in texts.to_pylist()],
-                dtype=object,
-            )
-            th1 = hash64(tnorm)
-            th2 = hash64(tnorm, alt_key=True)
-            # ready (h1, h2, texts, order, th1, th2) tuple — texts/th stay in
-            # original tab order; ``order[pos]`` maps a sorted probe back
-            return h1[order], h2[order], texts, order, th1, th2
-
-        block_refs = [
-            ref for bundle in picked.iter_internal_ref_bundles() for ref, _meta in bundle.blocks
-        ]
-        texts_ref = _assemble.remote(*block_refs)
-        # scoring parallelism = block count; the edge list often lands in a
-        # handful of groupby output blocks, so spread it before the pool
-        # (unless the caller already did — spread=False)
-        if spread:
-            n_blocks = max(8, int(ray.cluster_resources().get("CPU", 8)) * 2)
-            edges = edges.repartition(n_blocks)
-        spec = (params.shingle, params.word_n if params.shingle == "word" else params.shingle_k)
-        return edges.map_batches(
-            _verify_score_batch,
-            fn_kwargs={"texts_ref": texts_ref, "spec": spec, "threshold": threshold},
-            batch_format="pandas",
-        )
-    if numeric:
+        return empty()
+    if n_edges > broadcast_edge_budget:
         return _verify_edges_join_numeric(
             edges, pages, threshold, params=params, id_col=id_col,
             text_col=text_col, num_partitions=num_partitions,
         )
-    return _verify_edges_join(
-        edges, pages, threshold, params=params, id_col=id_col,
-        text_col=text_col, num_partitions=num_partitions,
+    # SHARDED endpoint index + raw-task scorer (the flagship hot path); see
+    # build_endpoint_index for the scan/shard design
+    shard_refs, text_refs, attrs_present = build_endpoint_index(
+        edges, pages, id_col=id_col, text_col=text_col, attr_cols=attr_cols
     )
-
-
-def _verify_edges_join(
-    edges: ray.data.Dataset,
-    pages: ray.data.Dataset,
-    threshold: float,
-    params: MinHashParams = MinHashParams(),
-    id_col: str = "url",
-    text_col: str = "text",
-    num_partitions: int | None = None,
-) -> ray.data.Dataset:
-    """Join-based verify (the >broadcast-budget path).
-
-    Joins the slim edge list back to text twice (a side, b side) via Ray's
-    hash join, then recomputes true shingle Jaccard per pair — the analogue of
-    the reference comparing actual bytes after hash routing.
-
-    Callers should pass a *materialized* ``edges`` dataset: chaining the
-    upstream actor pools + sort + two hash joins into one lazy plan can
-    deadlock on small CPU counts (every operator pins actors/CPUs at once).
-    """
-    from ..util import coalesce_schema_blocks
-
-    num_partitions = num_partitions or default_join_partitions()
-    texts = pages.select_columns([id_col, text_col])
-    # map_groups-produced edge lists can contain schema-less empty blocks
-    # that the Arrow hash join rejects — normalize first
-    edges = coalesce_schema_blocks(edges)
-    ea = (
-        edges.join(texts, "inner", num_partitions=num_partitions, on=("a",), right_on=(id_col,))
-        .rename_columns({text_col: "_text_a"})
-        .materialize()  # two join operators in one plan can over-pin aggregator actors
+    if not shard_refs:
+        return empty()
+    if out is not None:
+        out["index_shards"] = shard_refs
+        out["attr_cols"] = attrs_present
+    edge_refs = exchange.nonempty_block_refs(edges)
+    if not edge_refs:
+        return empty()
+    # fan scoring wider than the EB exchange width: ~3 tasks per CPU
+    # absorbs stragglers (shingle cost varies per bucket)
+    per_block = max(
+        1,
+        -(-int(ray.cluster_resources().get("CPU", 8)) * 3 // max(len(edge_refs), 1)),
     )
-    # empty join partitions skip the rename Project and keep the pre-rename
-    # schema; the second hash join then sees mixed schemas and rejects the
-    # key ("No match or multiple matches") — drop the empties first
-    ea = coalesce_schema_blocks(ea)
-    eab = ea.join(
-        texts, "inner", num_partitions=num_partitions, on=("b",), right_on=(id_col,)
-    ).rename_columns({text_col: "_text_b"})
-
-    spec = (params.shingle, params.word_n if params.shingle == "word" else params.shingle_k)
-
-    def score(df: pd.DataFrame) -> pd.DataFrame:
-        P = len(df)
-        both = np.concatenate(
-            [df["_text_a"].to_numpy(dtype=object), df["_text_b"].to_numpy(dtype=object)]
+    scored = [
+        _score_edges_task.remote(
+            b, shard_refs, text_refs, spec, threshold,
+            piece=i, n_pieces=per_block, emit_ids=emit_ids,
         )
-        # normalize nulls to "" (astype(str) would turn None into the literal
-        # string "None" — a real one-token document in word-shingle mode,
-        # diverging from the broadcast verify path's `t or ""` handling)
-        both = np.array([t if isinstance(t, str) else "" for t in both], dtype=object)
-        uniq, inv = np.unique(both, return_inverse=True)
-        allv, starts, counts = _shingle_sets(spec, uniq)
-        out = df[["a", "b"]].copy()
-        out["jaccard"] = pairwise_jaccard(inv[:P], inv[P:], allv, starts, counts)
-        return out[out["jaccard"] >= threshold]
-
-    return eab.map_batches(score, batch_format="pandas")
+        for b in edge_refs
+        for i in range(per_block)
+    ]
+    return ray.data.from_arrow_refs(scored)
 
 
 def _verify_edges_join_numeric(
@@ -1477,7 +941,6 @@ def dedup_edges_minhash(
     order_cols=("warc_ts", "url"),
     verify: bool = True,
     threshold: float | None = None,
-    signer_concurrency=None,
     max_bucket: int = 256,
     out: dict | None = None,
     emit: str = "ids",  # "ids" (public string contract) | "numeric" (flagship)
@@ -1517,19 +980,9 @@ def dedup_edges_minhash(
         "order_cols": order_cols,
         "numeric_ids": numeric,
     }
-    if signer_concurrency is None:
-        # default: elastic task pool — scales to free CPUs, no actor startup
-        band_rows = slim.map_batches(
-            sign_and_band, fn_kwargs=sign_kwargs, batch_format="pyarrow", batch_size=2048
-        )
-    else:
-        band_rows = slim.map_batches(
-            SignAndBand,
-            fn_constructor_kwargs=sign_kwargs,
-            batch_format="pyarrow",
-            batch_size=2048,
-            concurrency=signer_concurrency,
-        )
+    band_rows = slim.map_batches(
+        sign_and_band, fn_kwargs=sign_kwargs, batch_format="pyarrow", batch_size=2048
+    )
     # the same (a, b) pair can surface from several bands (~9x duplication at
     # typical configs) — dedup the slim edge list before the expensive
     # verify. The edge-bucket key (_ebucket = hash(a) % EB) is emitted INSIDE
@@ -1559,7 +1012,7 @@ def dedup_edges_minhash(
     if numeric:
 
         def _dedup_bucket(t: pa.Table | None) -> pa.Table:
-            cols = ["ah1", "ah2", "bh1", "bh2"]
+            cols = list(_EDGE_HASH_COLS)
             if t is None or t.num_rows == 0:
                 return pa.table({c: pa.array([], pa.uint64()) for c in cols})
             return t.select(cols).group_by(cols).aggregate([])
@@ -1572,11 +1025,11 @@ def dedup_edges_minhash(
             # Arrow group_by-distinct: vectorized C++, no Python objects
             return t.select(["a", "b"]).group_by(["a", "b"]).aggregate([])
 
-    edges = _hash_exchange_tasks(edges, "_ebucket", EB, _dedup_bucket)
+    edges = exchange.hash_exchange(edges, "_ebucket", EB, _dedup_bucket)
     if verify:
         edges = verify_edges_jaccard(
             edges, pages, threshold, params=params, id_col=id_col, text_col=text_col,
-            spread=False, attr_cols=order_cols, out=out,
+            attr_cols=order_cols, out=out,
             emit_ids=(emit != "numeric"),
         )
     return edges

@@ -173,10 +173,10 @@ def paragraph_dedup(
             }
         )
 
-    from .minhash import _fetch_cached, _hash_exchange_tasks
+    from .exchange import fetch_cached, hash_exchange
 
     slim_rows = ds.map_batches(slim, batch_format="pyarrow")
-    drops = _hash_exchange_tasks(slim_rows, "_p1", num_buckets, bucket_losers)
+    drops = hash_exchange(slim_rows, "_p1", num_buckets, bucket_losers)
     n_drops = drops.count()
     # record BEFORE the budget gate: the count is known on both limbs here,
     # and the fallback's rebuilt output drops exactly these occurrences
@@ -212,7 +212,7 @@ def paragraph_dedup(
         d1, d2 = _doc_identity128(batch, id_cols)
         q1 = d1[doc_idx]
         q2 = combine_hash64(d2[doc_idx], pos.astype(np.uint64))
-        idx = _fetch_cached(
+        idx = fetch_cached(
             drop_ref, lambda t: (t["_dp"].to_numpy(), t["_d1"].to_numpy())
         )
         _, found = _pair_lookup_pos(idx[0], idx[1], q2, q1)
@@ -287,7 +287,7 @@ def _paragraph_dedup_shuffle(
     would not be the small side) and as the ``exact=True`` mode (zero
     hash-collision exposure, like dedup_exact's paranoid limb).
     """
-    from .minhash import _hash_exchange_tasks
+    from .exchange import hash_exchange
 
     meta_cols = [c for c in ds.schema().names if c != text_col]
     carry = [*meta_cols]
@@ -327,7 +327,7 @@ def _paragraph_dedup_shuffle(
     row_schema = pa.schema(
         [(n, row_types[n]) for n in s.names if isinstance(row_types[n], pa.DataType)]
     ) if all(isinstance(t, pa.DataType) for t in s.types) else None
-    winners = _hash_exchange_tasks(rows, "_p1", num_buckets, keep_first)
+    winners = hash_exchange(rows, "_p1", num_buckets, keep_first)
 
     out_fields = [
         (n, pa.string() if n == text_col else row_types[n])
@@ -368,4 +368,4 @@ def _paragraph_dedup_shuffle(
                 cols[name] = pa.array(heads[name].to_numpy(), typ)
         return pa.table(cols)
 
-    return _hash_exchange_tasks(winners, "_d1", num_buckets, reassemble)
+    return hash_exchange(winners, "_d1", num_buckets, reassemble)

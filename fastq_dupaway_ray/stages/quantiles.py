@@ -37,9 +37,9 @@ def exact_quantiles(
     distinct_budget: int = 50_000_000,
 ) -> pa.Table:
     """One-row Arrow table ``{p<q*100>: value}`` of exact discrete quantiles."""
-    from .minhash import _default_shuffle_buckets, _hash_exchange_tasks
+    from .exchange import default_shuffle_buckets, hash_exchange
 
-    B = num_buckets or _default_shuffle_buckets()
+    B = num_buckets or default_shuffle_buckets()
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         cnt = df[col].value_counts()
@@ -59,7 +59,7 @@ def exact_quantiles(
         return pa.Table.from_pandas(g[["_val", "_n"]], preserve_index=False)
 
     rows = ds.select_columns([col]).map_batches(partial, batch_format="pandas")
-    hist_ds = _hash_exchange_tasks(rows, "_bkt", B, merge)
+    hist_ds = hash_exchange(rows, "_bkt", B, merge)
     tabs = [t for t in ray.get(hist_ds.to_arrow_refs()) if t.num_rows > 0]
     if not tabs:
         raise ValueError(f"exact_quantiles: no non-null values in column {col!r}")

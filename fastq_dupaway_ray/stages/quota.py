@@ -55,11 +55,11 @@ def cap_per_key(
     per key-range partition — thresholds are independent across keys) or
     raise the budget on fat-memory nodes.
     """
-    from .minhash import _default_shuffle_buckets, _fetch_cached, _hash_exchange_tasks
+    from .exchange import default_shuffle_buckets, fetch_cached, hash_exchange
 
     if n < 1:
         raise ValueError("cap_per_key needs n >= 1")
-    B = num_buckets or _default_shuffle_buckets()
+    B = num_buckets or default_shuffle_buckets()
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         # combiner: <= n candidates + 1 count row per key per block. Count
@@ -107,7 +107,7 @@ def cap_per_key(
             preserve_index=False,
         )
 
-    thr_ds = _hash_exchange_tasks(slim_rows, "_kbkt", B, thresholds)
+    thr_ds = hash_exchange(slim_rows, "_kbkt", B, thresholds)
     thr_tabs = [t for t in ray.get(thr_ds.to_arrow_refs()) if t.num_rows > 0]
     if not thr_tabs:
         return ds  # no key over cap — nothing to drop
@@ -136,7 +136,7 @@ def cap_per_key(
     def keep_filter(t: pa.Table) -> pa.Table:
         # Arrow-native: payload columns stay zero-copy; only key + order
         # columns materialize as numpy
-        hk, h_sorted, k_sorted, t_sorted = _fetch_cached(thr_ref)
+        hk, h_sorted, k_sorted, t_sorted = fetch_cached(thr_ref)
         keys = t[key_col].to_numpy(zero_copy_only=False).astype(object)
         kh_b = pd.util.hash_array(keys, hash_key=hk)
         pos = np.searchsorted(h_sorted, kh_b)
@@ -177,11 +177,11 @@ def cap_per_key_budget(
     that loses anything. Thresholds broadcast READY; the payload never
     shuffles. Weights must be positive; ``order_col`` unique within a key.
     """
-    from .minhash import _default_shuffle_buckets, _fetch_cached, _hash_exchange_tasks
+    from .exchange import default_shuffle_buckets, fetch_cached, hash_exchange
 
     if budget < 1:
         raise ValueError("cap_per_key_budget needs budget >= 1")
-    B = num_buckets or _default_shuffle_buckets()
+    B = num_buckets or default_shuffle_buckets()
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         cols = [key_col, "_ord", "_w", "_mark", "_kbkt"]
@@ -249,7 +249,7 @@ def cap_per_key_budget(
             }
         )
 
-    thr_ds = _hash_exchange_tasks(slim_rows, "_kbkt", B, thresholds)
+    thr_ds = hash_exchange(slim_rows, "_kbkt", B, thresholds)
     thr_tabs = [t for t in ray.get(thr_ds.to_arrow_refs()) if t.num_rows > 0]
     if not thr_tabs:
         return ds
@@ -273,7 +273,7 @@ def cap_per_key_budget(
     )
 
     def keep_filter(t: pa.Table) -> pa.Table:
-        hk, h_sorted, k_sorted, t_sorted, keepany_sorted = _fetch_cached(thr_ref)
+        hk, h_sorted, k_sorted, t_sorted, keepany_sorted = fetch_cached(thr_ref)
         keys = t[key_col].to_numpy(zero_copy_only=False).astype(object)
         kh_b = pd.util.hash_array(keys, hash_key=hk)
         pos = np.searchsorted(h_sorted, kh_b)

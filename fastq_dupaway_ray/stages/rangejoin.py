@@ -31,9 +31,9 @@ def range_join(
     num_buckets: int | None = None,
     max_matches_per_row: int | None = None,
 ) -> ray.data.Dataset:
-    from .minhash import _default_shuffle_buckets
+    from .exchange import default_shuffle_buckets
 
-    B = num_buckets or _default_shuffle_buckets()
+    B = num_buckets or default_shuffle_buckets()
     rk = right_key or key
     lcols = sorted(set([key, left_time, *left_cols]))
     rcols_src = sorted(set([rk, right_lo, right_hi, *right_cols]))

@@ -89,7 +89,8 @@ def _apply_labels_numeric(
     import pyarrow.compute as pc
     import ray as _ray
 
-    from .minhash import _fetch_cached, _id_member_mask_pre, _shard_gather, _shard_slot_keys
+    from .exchange import fetch_cached
+    from .minhash import _id_member_mask_pre, _shard_gather, _shard_slot_keys
 
     order_cols = [c for c in order_cols]
     ltab = pa.concat_tables(
@@ -186,7 +187,7 @@ def _apply_labels_numeric(
     from .minhash import _id_hash_pair
 
     def keep_filter(t: pa.Table) -> pa.Table:
-        drops = _fetch_cached(drop_ref)
+        drops = fetch_cached(drop_ref)
         ids = t[id_col].to_numpy(zero_copy_only=False).astype(object)
         q1, q2 = _id_hash_pair(ids)
         return t.filter(pa.array(~_id_member_mask_pre(drops, q1, q2)))
@@ -261,7 +262,8 @@ def apply_cluster_labels(
             counters["near_drops"] = 0
         return (payload if payload is not None else pages), ray.data.from_pandas(empty)
 
-    from .minhash import _fetch_cached, _id_hash_pair, _id_hash_pair_arrow
+    from .exchange import fetch_cached
+    from .minhash import _id_hash_pair, _id_hash_pair_arrow
 
     members_tbl = None
     if member_attrs is not None:
@@ -291,7 +293,7 @@ def apply_cluster_labels(
             # format here converted every slim column of the full corpus
             from .minhash import _pair_lookup_pos
 
-            h1s, h2s, labels_arr, order = _fetch_cached(label_ref)
+            h1s, h2s, labels_arr, order = fetch_cached(label_ref)
             ids = t[id_col].to_numpy(zero_copy_only=False).astype(object)
             q1, q2 = _id_hash_pair(ids)
             pos, found = _pair_lookup_pos(h1s, h2s, q1, q2)
@@ -384,9 +386,9 @@ def apply_cluster_labels(
             [ctab.slice(o, 500_000) for o in range(0, max(ctab.num_rows, 1), 500_000)]
         )
     else:
-        from .minhash import _default_shuffle_buckets
+        from .exchange import default_shuffle_buckets
 
-        B = _default_shuffle_buckets()
+        B = default_shuffle_buckets()
 
         def bucketize(df: pd.DataFrame) -> pd.DataFrame:
             df = df.copy()
@@ -435,7 +437,7 @@ def apply_cluster_labels(
         # Arrow-native: the heavy html/text payload stays zero-copy — a
         # pandas batch format here converts every binary column per batch,
         # which dominated the stage wall time and killed its scaling
-        drops = _fetch_cached(drop_ref)
+        drops = fetch_cached(drop_ref)
         ids = t[id_col].to_numpy(zero_copy_only=False).astype(object)
         return t.filter(pa.array(~_id_member_mask(drops, ids)))
 

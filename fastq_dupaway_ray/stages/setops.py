@@ -35,10 +35,10 @@ def keyed_set_op(
     between ``left`` and ``right``."""
     if op not in ("intersect", "except"):
         raise ValueError(f"keyed_set_op: op must be intersect|except, got {op!r}")
-    from .minhash import _default_shuffle_buckets
+    from .exchange import default_shuffle_buckets
     from ..functions.hashing import hash64
 
-    B = _default_shuffle_buckets()
+    B = default_shuffle_buckets()
 
     def tagger(side: int):
         def tag(t: pa.Table) -> pa.Table:

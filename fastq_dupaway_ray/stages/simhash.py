@@ -5,7 +5,7 @@ d=2 /root/reference/src/main.cpp:34): two documents are near-duplicates when
 their 64-bit SimHash signatures differ in <= d bits. Candidate generation uses
 the pigeonhole principle exactly like the reference's same-length requirement
 narrows comparisons: split the signature into d+1 chunks — any pair within
-Hamming distance d agrees on at least one chunk — and groupby the chunk key.
+Hamming distance d agrees on at least one chunk — and co-locate on the chunk key.
 
 Verification is exact (popcount of XOR), so the chunk bucketing only affects
 recall of the *candidate* stage, never precision. Candidate recall is 100%
@@ -21,7 +21,6 @@ the effect is limited to edge-level recall in hot groups.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
@@ -74,27 +73,6 @@ def sign_simhash(batch: pa.Table, text_col: str = "text", token_ngram: int = 2,
     return batch
 
 
-class SimHashSigner:
-    """Actor-pool callable: text -> 64-bit SimHash column.
-
-    Prefer the task form (``sign_simhash``) — kept for callers that need a
-    bounded pool."""
-
-    def __init__(self, text_col: str = "text", token_ngram: int = 2, text_cols=None,
-                 feature: str = "word", shingle_k: int = 8, length_key: bool = False):
-        self.text_col = text_col
-        self.token_ngram = token_ngram
-        self.text_cols = text_cols
-        self.feature = feature
-        self.shingle_k = shingle_k
-        self.length_key = length_key
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return sign_simhash(batch, self.text_col, self.token_ngram, self.text_cols,
-                            feature=self.feature, shingle_k=self.shingle_k,
-                            length_key=self.length_key)
-
-
 def emit_chunk_keys(batch: pa.Table, distance: int, id_col: str = "url",
                     order_cols=("warc_ts",), n_sides: int = 1,
                     length_col: str | None = None) -> pa.Table:
@@ -121,7 +99,7 @@ def emit_chunk_keys(batch: pa.Table, distance: int, id_col: str = "url",
         "chunk_key": pa.array(keys.ravel(), pa.uint64()),
         # ids repeat d+1 times; dict_encode measured slower end-to-end on a
         # single node (dictionary unification in the shuffle reduce — see
-        # minhash._sign_and_band_table). Revisit on real multi-node network.
+        # minhash.sign_and_band). Revisit on real multi-node network.
         id_col: _take(batch[id_col], take),
         SIMHASH_COL: pa.array(sig[idx], pa.uint64()),
     }
@@ -134,11 +112,9 @@ def emit_chunk_keys(batch: pa.Table, distance: int, id_col: str = "url",
     return pa.table(cols)
 
 
-def _take(arr, take, dict_encode: bool = False):
+def _take(arr, take):
     if isinstance(arr, pa.ChunkedArray):
         arr = arr.combine_chunks()
-    if dict_encode and (pa.types.is_string(arr.type) or pa.types.is_large_string(arr.type)):
-        arr = arr.dictionary_encode()
     return arr.take(take)
 
 
@@ -154,19 +130,13 @@ def simhash_candidate_edges(
     length_bucket: bool = False,
     max_bucket: int = 512,
     dense_limit: int = 64,
-    signer_concurrency=None,
     text_cols=None,
-    exchange: str = "tasks",
 ) -> ray.data.Dataset:
     """pages -> verified edges (a, b, hamming) with hamming <= distance.
 
-    ``exchange="tasks"`` (default) runs both wide steps — chunk-key
-    co-location and duplicate-edge dedup — as manual hash exchanges with an
-    Arrow-native per-bucket pass (see ``minhash._hash_exchange_tasks`` for
-    the measured rationale: the Dataset sort-groupby pays a flat multi-second
-    machinery cost per exchange regardless of CPU count). ``"groupby"`` keeps
-    the Dataset-native shuffle (multi-node-robustness fallback, identical
-    edge set up to duplicate-edge choice).
+    Both wide steps — chunk-key co-location and duplicate-edge dedup — run
+    as task hash exchanges (``stages/exchange.py``) with an Arrow-native
+    per-bucket pass.
 
     ``text_cols`` with several entries selects paired both-mates semantics
     (reference EP3 with tail-hamming, /root/reference/src/comparator.cpp:84-91):
@@ -193,20 +163,9 @@ def simhash_candidate_edges(
     sign_kwargs = {"text_col": text_col, "token_ngram": token_ngram, "text_cols": tcols,
                    "feature": feature, "shingle_k": shingle_k,
                    "length_key": length_bucket}
-    if signer_concurrency is None:
-        # default: elastic task pool — scales to free CPUs, no actor startup
-        signed = slim.map_batches(
-            sign_simhash, fn_kwargs=sign_kwargs, batch_format="pyarrow", batch_size=4096
-        )
-    else:
-        signed = slim.map_batches(
-            SimHashSigner,
-            fn_constructor_kwargs=sign_kwargs,
-            batch_format="pyarrow",
-            batch_size=4096,
-            concurrency=signer_concurrency,
-        )
-    signed = signed.drop_columns(tcols)
+    signed = slim.map_batches(
+        sign_simhash, fn_kwargs=sign_kwargs, batch_format="pyarrow", batch_size=4096
+    ).drop_columns(tcols)
     chunk_rows = signed.map_batches(
         lambda t: emit_chunk_keys(t, distance, id_col=id_col, order_cols=order_cols,
                                   n_sides=n_sides,
@@ -214,9 +173,10 @@ def simhash_candidate_edges(
         batch_format="pyarrow",
     )
 
-    from .minhash import _default_shuffle_buckets, _hash_exchange_tasks, _star_edge_indices
+    from .exchange import default_shuffle_buckets, hash_exchange
+    from .minhash import _star_edge_indices
 
-    B = _default_shuffle_buckets()
+    B = default_shuffle_buckets()
     ncpu = int(ray.cluster_resources().get("CPU", 8))
     # edge-dedup exchange width: same sizing rationale as dedup_edges_minhash
     EB = max(8, min(ncpu * 2, 32))
@@ -313,114 +273,8 @@ def simhash_candidate_edges(
             t.select(["a", "b", "hamming"]).group_by(["a", "b", "hamming"]).aggregate([])
         )
 
-    if exchange == "tasks":
-        edges = _hash_exchange_tasks(chunk_rows, "chunk_key", B, per_bucket_arrow)
-        return _hash_exchange_tasks(edges, "_ebucket", EB, _dedup_bucket)
-
-    def bucketize(t: pa.Table) -> pa.Table:
-        bkt = (t["chunk_key"].to_numpy() % np.uint64(B)).astype(np.int64)
-        return t.append_column("_bkt", pa.array(bkt, pa.int64()))
-
-    def per_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        """One coarse shuffle bucket: vectorized star verify over ALL chunk
-        groups at once; dense all-pairs only for small multi-member groups
-        (those are the actual duplicate clusters — rare by construction)."""
-        # dict-encoded shuffle columns arrive as Categoricals whose sort order
-        # is category order — decode so head selection stays lexicographic
-        for c in df.columns:
-            if isinstance(df[c].dtype, pd.CategoricalDtype):
-                df[c] = np.asarray(df[c].astype(object))
-        df = df.sort_values(["chunk_key", *order_cols], kind="mergesort")
-        df = df.drop_duplicates(subset=["chunk_key", id_col])
-        g = df.groupby("chunk_key", sort=False)
-        size = g[id_col].transform("size")
-        df = df[size > 1]
-        if len(df) == 0:
-            return pd.DataFrame({"a": [], "b": [], "hamming": pd.Series([], dtype=np.int64)})
-        g = df.groupby("chunk_key", sort=False)
-        rank = g.cumcount().to_numpy()
-        ids = df[id_col].to_numpy()
-        sig_mat = [df[c].to_numpy().astype(np.uint64) for c in sig_cols]
-
-        def ham_all(ia, ib):
-            """max hamming over every side for index arrays ia vs ib."""
-            d = hamming64(sig_mat[0][ia], sig_mat[0][ib])
-            for s in sig_mat[1:]:
-                d = np.maximum(d, hamming64(s[ia], s[ib]))
-            return d
-
-        arange = np.arange(len(df))
-        # SALTED hot buckets (no truncation): rows star-verify against their
-        # salt-group head; salt heads chain-verify against the global head —
-        # every row is compared, O(n) per bucket, exact hamming filter
-        salt = rank // max_bucket
-        local_head_sel = rank % max_bucket == 0
-        pos = np.where(local_head_sel, arange, -1)
-        pos = np.maximum.accumulate(pos)
-        head_id = ids[pos]
-        d = ham_all(arange, pos)
-        star = (ids != head_id) & (d <= distance)
-        gpos = np.where(local_head_sel & (salt == 0), arange, -1)
-        gpos = np.maximum.accumulate(gpos)
-        chain_sel = local_head_sel & (salt > 0)
-        dchain = ham_all(arange[chain_sel], gpos[chain_sel])
-        ckeep = dchain <= distance
-        parts = [
-            pd.DataFrame(
-                {
-                    "a": head_id[star],
-                    "b": ids[star],
-                    "hamming": d[star].astype(np.int64),
-                }
-            ),
-            pd.DataFrame(
-                {
-                    "a": ids[gpos[chain_sel]][ckeep],
-                    "b": ids[chain_sel][ckeep],
-                    "hamming": dchain[ckeep].astype(np.int64),
-                }
-            ),
-        ]
-        # dense pass: groups of 3..64 members can hold pairs the head misses.
-        # Vectorized by DISTINCT GROUP SIZE: all same-size groups share one
-        # triu index template, offset by each group's start — no per-group
-        # Python loop (df is chunk_key-sorted, so groups are contiguous).
-        size2 = g[id_col].transform("size").to_numpy()
-        dense_mask = (size2 >= 3) & (size2 <= 64)
-        if dense_mask.any():
-            sub = df[dense_mask]
-            ids_s = sub[id_col].to_numpy()
-            sig_mat_s = [sub[c].to_numpy().astype(np.uint64) for c in sig_cols]
-
-            def ham_all_s(ia, ib):
-                dd = hamming64(sig_mat_s[0][ia], sig_mat_s[0][ib])
-                for s_ in sig_mat_s[1:]:
-                    dd = np.maximum(dd, hamming64(s_[ia], s_[ib]))
-                return dd
-
-            sizes_arr = sub.groupby("chunk_key", sort=False).size().to_numpy()
-            starts_arr = np.cumsum(sizes_arr) - sizes_arr
-            for s in np.unique(sizes_arr):
-                ai, bi = np.triu_indices(int(s), k=1)
-                gsel = starts_arr[sizes_arr == s]
-                A = (gsel[:, None] + ai[None, :]).ravel()
-                B = (gsel[:, None] + bi[None, :]).ravel()
-                dd = ham_all_s(A, B)
-                keep = dd <= distance
-                if keep.any():
-                    parts.append(
-                        pd.DataFrame(
-                            {"a": ids_s[A[keep]], "b": ids_s[B[keep]], "hamming": dd[keep].astype(np.int64)}
-                        )
-                    )
-        return pd.concat(parts, ignore_index=True)
-
-    edges = (
-        chunk_rows.map_batches(bucketize, batch_format="pyarrow")
-        .groupby("_bkt")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
-    return dedup_edge_list(edges)
+    edges = hash_exchange(chunk_rows, "chunk_key", B, per_bucket_arrow)
+    return hash_exchange(edges, "_ebucket", EB, _dedup_bucket)
 
 
 def _dense_pair_indices(ck: np.ndarray, lo: int = 3, hi: int = 64):
@@ -447,25 +301,3 @@ def _dense_pair_indices(ck: np.ndarray, lo: int = 3, hi: int = 64):
         ai_parts.append((g[:, None] + tpl_a[None, :]).ravel())
         bi_parts.append((g[:, None] + tpl_b[None, :]).ravel())
     return np.concatenate(ai_parts), np.concatenate(bi_parts)
-
-
-def dedup_edge_list(edges: ray.data.Dataset, num_buckets: int = 32) -> ray.data.Dataset:
-    """Drop duplicate (a, b) edges (the same pair surfaces from several
-    chunks/bands) with a bucketed vectorized pass — not per-pair map_groups."""
-    import pandas as pd
-
-    def bucketize(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0 or "a" not in df.columns:
-            return pd.DataFrame({"a": [], "b": [], "_ebucket": pd.Series([], dtype=np.int64)})
-        df = df.copy()
-        df["_ebucket"] = pd.util.hash_array(df["a"].to_numpy(dtype=object)) % num_buckets
-        return df
-
-    def drop(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0 or "a" not in df.columns:
-            return pd.DataFrame({"a": [], "b": []})
-        return df.drop_duplicates(subset=["a", "b"]).drop(columns=["_ebucket"])
-
-    return edges.map_batches(bucketize, batch_format="pandas").groupby("_ebucket").map_groups(
-        drop, batch_format="pandas"
-    )

@@ -40,9 +40,9 @@ from ..util import round_half_away
 
 
 def _bucket_count() -> int:
-    from .minhash import _default_shuffle_buckets
+    from .exchange import default_shuffle_buckets
 
-    return _default_shuffle_buckets()
+    return default_shuffle_buckets()
 
 
 def _floor_to(ts: pa.ChunkedArray | pa.Array, minutes: int) -> pa.Array:
@@ -361,7 +361,7 @@ def sessionize(
             }
         )
 
-    from .minhash import _hash_exchange_tasks
+    from .exchange import hash_exchange
 
     def tag_boundary(t: pa.Table) -> pa.Table:
         tf = t.filter(t["_boundary"]).drop_columns(["_boundary"])
@@ -380,7 +380,7 @@ def sessionize(
         # key type, and an int64-typed empty would poison a string-keyed
         # union (the engine's typed-empty invariant)
         return final
-    merged = _hash_exchange_tasks(
+    merged = hash_exchange(
         boundary,
         "_kh",
         B,

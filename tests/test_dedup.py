@@ -356,12 +356,12 @@ def test_run_dedup_exact_clusters_use_one_exchange(ray_session, ds, monkeypatch)
     import ray.data
 
     from fastq_dupaway_ray.pipelines.dedup import DedupConfig, run_dedup
-    from fastq_dupaway_ray.stages import minhash
+    from fastq_dupaway_ray.stages import exchange
 
     calls = []
-    orig = minhash._hash_exchange_tasks
+    orig = exchange.hash_exchange
     monkeypatch.setattr(
-        minhash, "_hash_exchange_tasks", lambda *a, **k: calls.append(1) or orig(*a, **k)
+        exchange, "hash_exchange", lambda *a, **k: calls.append(1) or orig(*a, **k)
     )
 
     def no_groupby(*a, **k):

@@ -23,7 +23,7 @@ def ds(ray_session, pages_corpus):
 
 @pytest.fixture(scope="module")
 def minhash_edges(ds):
-    return dedup_edges_minhash(ds, verify=True, threshold=0.7, signer_concurrency=2).materialize()
+    return dedup_edges_minhash(ds, verify=True, threshold=0.7).materialize()
 
 
 def _base_url_of(dup_url: str) -> int:
@@ -82,7 +82,7 @@ def test_minhash_end_to_end_cluster_counts(ds, minhash_edges, pages_rows):
 
 
 def test_simhash_catches_exact_dups(ds, pages_rows):
-    edges = simhash_candidate_edges(ds, distance=3, signer_concurrency=2).materialize()
+    edges = simhash_candidate_edges(ds, distance=3).materialize()
     edf = edges.to_pandas()
     covered = set(edf["a"]) | set(edf["b"])
     exact_planted = [r["url"] for r in pages_rows if "/dup/exact/" in r["url"]]
@@ -284,42 +284,6 @@ def test_simhash_paired_both_mates(ray_session):
     assert not any("c" in e for e in got), got
 
 
-def test_verify_join_fallback_matches_broadcast(ray_session, tmp_path):
-    """The >budget join-based verify must agree with the broadcast verify —
-    exercised with parquet-backed inputs so map_groups' schema-less empty
-    blocks (which Arrow hash joins reject) are present."""
-    import pandas as pd
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    import ray.data as rd
-
-    from fastq_dupaway_ray.functions.sketches import MinHashParams
-    from fastq_dupaway_ray.stages.minhash import dedup_edges_minhash, verify_edges_jaccard
-
-    base = "quick brown fox jumps over the lazy dog again and again " * 3
-    rows = [
-        {"url": f"u{i}", "warc_ts": i, "text": base if i % 2 == 0 else f"{base} tail{i}"}
-        for i in range(40)
-    ]
-    p = str(tmp_path / "pages")
-    import os
-
-    os.makedirs(p)
-    pq.write_table(pa.Table.from_pandas(pd.DataFrame(rows)), os.path.join(p, "part-0.parquet"))
-    pages = rd.read_parquet(p)
-    edges = dedup_edges_minhash(pages, verify=False).materialize()
-    assert edges.count() > 0
-    params = MinHashParams()
-    thr = params.threshold()
-    via_broadcast = verify_edges_jaccard(edges, pages, thr, params=params).to_pandas()
-    via_join = verify_edges_jaccard(
-        edges, pages, thr, params=params, broadcast_edge_budget=0
-    ).to_pandas()
-    key = lambda df: sorted(zip(df["a"], df["b"], df["jaccard"].round(9)))
-    assert key(via_broadcast) == key(via_join)
-
-
 def test_numeric_verify_join_fallback_matches_broadcast(ray_session, tmp_path):
     """The numeric spine's two verify limbs (broadcast index vs hash-pair
     join) must agree — and both must emit the STRING (a, b, jaccard)
@@ -364,16 +328,23 @@ def test_numeric_verify_join_fallback_matches_broadcast(ray_session, tmp_path):
     assert set(via_broadcast.columns) == {"a", "b", "jaccard"}
 
 
+def test_verify_rejects_string_edges(ray_session):
+    """verify_edges_jaccard scores numeric (ah1..bh2) edges only; string
+    (a, b) edges get an explicit error naming the required columns, not a
+    silent fallback."""
+    from fastq_dupaway_ray.stages.minhash import verify_edges_jaccard
+
+    pages = rd.from_pandas(pd.DataFrame({"url": ["a", "b"], "text": ["x y", "x y"]}))
+    edges = rd.from_pandas(pd.DataFrame({"a": ["a"], "b": ["b"]}))
+    with pytest.raises(ValueError, match="ah1"):
+        verify_edges_jaccard(edges, pages, 0.5)
+
+
 def test_verify_paths_agree_on_null_text(ray_session):
     """Advice r2: the join verify's astype(str) turned None into the literal
-    "None" (a real word-shingle token) — both verify paths must treat null
-    text as empty."""
-    import pandas as pd
-
-    import ray.data as rd
-
-    from fastq_dupaway_ray.functions.sketches import MinHashParams
-    from fastq_dupaway_ray.stages.minhash import verify_edges_jaccard
+    "None" (a real word-shingle token) — both verify limbs (broadcast index
+    and hash-pair join) must treat null text as empty."""
+    from fastq_dupaway_ray.stages.minhash import _id_hash_pair, verify_edges_jaccard
 
     rows = [
         {"url": "a", "warc_ts": 1, "text": None},
@@ -381,14 +352,17 @@ def test_verify_paths_agree_on_null_text(ray_session):
         {"url": "c", "warc_ts": 3, "text": "None None None tokens here repeated"},
     ]
     pages = rd.from_pandas(pd.DataFrame(rows))
-    edges = rd.from_pandas(pd.DataFrame({"a": ["a", "a"], "b": ["b", "c"]}))
+    a1, a2 = _id_hash_pair(np.array(["a", "a"], dtype=object))
+    b1, b2 = _id_hash_pair(np.array(["b", "c"], dtype=object))
+    edges = rd.from_pandas(pd.DataFrame({"ah1": a1, "ah2": a2, "bh1": b1, "bh2": b2}))
     params = MinHashParams(shingle="word")
-    kw = dict(params=params)
-    broad = verify_edges_jaccard(edges, pages, 0.0, **kw).to_pandas()
+    broad = verify_edges_jaccard(edges, pages, 0.0, params=params).to_pandas()
     join = verify_edges_jaccard(
-        edges, pages, 0.0, broadcast_edge_budget=0, **kw
+        edges, pages, 0.0, params=params, broadcast_edge_budget=0
     ).to_pandas()
     key = lambda df: sorted(zip(df["a"], df["b"], df["jaccard"].round(9)))
+    # two null texts are identical empty sets (1.0); empty vs real text is 0.0
+    assert key(broad) == [("a", "b", 1.0), ("a", "c", 0.0)]
     assert key(broad) == key(join)
 
 
@@ -424,7 +398,7 @@ def test_members_from_index_matches_attach_scan(ds, pages_rows):
     Dataset pass, not any semantics."""
     vout: dict = {}
     edges = dedup_edges_minhash(
-        ds, verify=True, threshold=0.7, signer_concurrency=2,
+        ds, verify=True, threshold=0.7,
         order_cols=("warc_ts", "url"), out=vout,
     ).materialize()
     assert "index_shards" in vout, "numeric broadcast limb must have run"

@@ -52,7 +52,7 @@ def test_run_dedup_deterministic_kept_set(ds, mode):
     """Two runs over the same input keep the IDENTICAL url set — seeded
     hashes + deterministic tie-breaks, the property that makes Ray task
     retries reproduce identical outputs (SURVEY §4 fault-tolerance row)."""
-    kwargs = {"mode": mode, "emit_clusters": False, "signer_concurrency": 2}
+    kwargs = {"mode": mode, "emit_clusters": False}
     if mode == "simhash":
         kwargs["distance"] = 3
     a = run_dedup(ds, DedupConfig(**kwargs)).kept.to_pandas()
@@ -62,7 +62,7 @@ def test_run_dedup_deterministic_kept_set(ds, mode):
 
 @pytest.mark.parametrize("mode", ["exact", "tight", "loose", "minhash"])
 def test_run_dedup_modes(ds, mode):
-    out = run_dedup(ds, DedupConfig(mode=mode, signer_concurrency=2))
+    out = run_dedup(ds, DedupConfig(mode=mode))
     m = out.metrics
     assert m["total"] == ds.count()
     assert m["kept"] + m["duplicates"] == m["total"]
@@ -77,7 +77,7 @@ def test_flagship_with_checkpoint_resume(pages_corpus, tmp_path, ray_session):
     path, _ = pages_corpus
     ck = str(tmp_path / "ckpt")
     out = str(tmp_path / "out")
-    kept, clusters, metrics = run_flagship(path, out_dir=out, ckpt_root=ck, signer_concurrency=2)
+    kept, clusters, metrics = run_flagship(path, out_dir=out, ckpt_root=ck)
     assert metrics["kept"] < metrics["valid"]
     assert os.path.exists(os.path.join(out, "metrics.json"))
     # the "exact" checkpoint is the SLIM drop-id artifact (the fused flagship
@@ -87,7 +87,7 @@ def test_flagship_with_checkpoint_resume(pages_corpus, tmp_path, ray_session):
     assert man is not None and man["complete"] and man["rows"] == metrics["exact_dup_removed"]
     assert man["extra"]["n_valid"] == metrics["valid"]
     # resume: second run must reuse the exact checkpoint (same fingerprint)
-    kept2, _, metrics2 = run_flagship(path, ckpt_root=ck, signer_concurrency=2)
+    kept2, _, metrics2 = run_flagship(path, ckpt_root=ck)
     assert metrics2["after_exact"] == metrics["after_exact"]
     assert metrics2["kept"] == metrics["kept"]
     # full chain checkpointed with per-partition lineage
@@ -342,7 +342,7 @@ def test_crawl_pipeline_composition_end_to_end(ray_session, tmp_path):
     # 2. content near-dedup over the canonical rows (flagship stages)
     out = run_dedup(
         dedup_url.materialize(),
-        DedupConfig(mode="minhash", emit_clusters=True, signer_concurrency=2),
+        DedupConfig(mode="minhash", emit_clusters=True),
     )
     kept = out.kept.materialize()
     n2 = kept.count()

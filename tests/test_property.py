@@ -173,7 +173,7 @@ def test_hash_exchange_equals_pandas_groupby(ray_session, keys, n_blocks, B):
     skewed/colliding keys and blocks the repartition leaves empty."""
     import pyarrow as pa
 
-    from fastq_dupaway_ray.stages.minhash import _hash_exchange_tasks
+    from fastq_dupaway_ray.stages.exchange import hash_exchange
 
     def bucket_counts(t):
         if t is None or t.num_rows == 0:
@@ -185,7 +185,7 @@ def test_hash_exchange_equals_pandas_groupby(ray_session, keys, n_blocks, B):
         n_blocks
     )
     got = (
-        _hash_exchange_tasks(ds, "k", B, bucket_counts)
+        hash_exchange(ds, "k", B, bucket_counts)
         .to_pandas()
         .sort_values("k")
         .reset_index(drop=True)

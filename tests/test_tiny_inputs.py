@@ -126,7 +126,7 @@ def test_exchange_skips_schema_less_empty_blocks(ray_session):
     inputs (empty inner join upstream of dedup_exact)."""
     import pyarrow as pa
 
-    from fastq_dupaway_ray.stages.minhash import _hash_exchange_tasks
+    from fastq_dupaway_ray.stages.exchange import hash_exchange
 
     def empty_out(df: pd.DataFrame) -> pd.DataFrame:
         return df.iloc[0:0]
@@ -141,11 +141,11 @@ def test_exchange_skips_schema_less_empty_blocks(ray_session):
             return pa.table({"k": pa.array([], pa.uint64())})
         return t
 
-    out = _hash_exchange_tasks(emptied, "k", 4, per_bucket)
+    out = hash_exchange(emptied, "k", 4, per_bucket)
     assert out.count() == 0
     # mixed: one real block + schema-less empties still routes every row
     mixed = base.union(emptied)
-    out2 = _hash_exchange_tasks(mixed, "k", 4, per_bucket)
+    out2 = hash_exchange(mixed, "k", 4, per_bucket)
     assert sorted(out2.to_pandas()["k"]) == list(range(8))
 
 
@@ -156,7 +156,7 @@ def test_exchange_adaptive_fanout_keeps_keys_colocated(ray_session):
     any fan-out correct: every key's rows land in exactly ONE fn call."""
     import pyarrow as pa
 
-    from fastq_dupaway_ray.stages.minhash import _hash_exchange_tasks
+    from fastq_dupaway_ray.stages.exchange import hash_exchange
 
     def bucket_counts(t):
         if t is None or t.num_rows == 0:
@@ -170,7 +170,7 @@ def test_exchange_adaptive_fanout_keeps_keys_colocated(ray_session):
     tiny = rd.from_pandas(
         pd.DataFrame({"k": np.arange(8, dtype=np.uint64).repeat(3)})
     ).repartition(4)
-    out = _hash_exchange_tasks(tiny, "k", 64, bucket_counts).to_pandas()
+    out = hash_exchange(tiny, "k", 64, bucket_counts).to_pandas()
     assert sorted(out["k"]) == list(range(8))
     assert (out["n"] == 3).all()
 
@@ -178,6 +178,6 @@ def test_exchange_adaptive_fanout_keeps_keys_colocated(ray_session):
     med = rd.from_pandas(
         pd.DataFrame({"k": (np.arange(20_000, dtype=np.uint64) % 100)})
     ).repartition(8)
-    out2 = _hash_exchange_tasks(med, "k", 64, bucket_counts).to_pandas()
+    out2 = hash_exchange(med, "k", 64, bucket_counts).to_pandas()
     assert len(out2) == 100  # each key in exactly one fn call
     assert (out2["n"] == 200).all()

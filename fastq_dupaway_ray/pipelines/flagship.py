@@ -25,10 +25,12 @@ read from the durable input anyway.
 Id contract: the EXACT stage is row-exact under any input — recrawled urls
 (same url, same text, later warc_ts) lose keep-first without sweeping their
 winner row, and full (url, warc_ts, text) ties route to a value-comparing
-fallback. The NEAR-DUP stages treat ``url`` as the document identity (the
-input_hint's key): rows that still share a url after exact dedup (same url,
-different text) are conflated into one logical document — they are kept or
-dropped together by the near-dup filter.
+fallback (``stages.dedup_exact.exact_gate``, whose ``semi_filter`` is exact
+on both its broadcast and its exchange limb). The NEAR-DUP stages treat
+``url`` as the document identity (the input_hint's key): rows that still
+share a url after exact dedup (same url, different text) are conflated into
+one logical document — they are kept or dropped together by the near-dup
+filter.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from ..sources.pages import read_pages, split_quarantine
 from ..stages import components as _comp
 from ..stages import minhash as _mh
 from ..stages import representative as _rep
-from ..stages.dedup_exact import exact_drop_ids
+from ..stages.dedup_exact import DEFAULT_ORDER, exact_drop_ids, exact_gate
 from ..state.checkpoint import (
     checkpoint,
     fingerprint,
@@ -54,20 +56,6 @@ from ..state.checkpoint import (
 )
 
 SLIM_COLS = ["url", "warc_ts", "text"]
-
-
-@ray.remote
-def _any_true(t, col: str = "_ambig"):
-    """(bool,) — whether any value of ``col`` in the block is true.
-
-    Column by NAME on purpose: ``select_columns(...).to_arrow_refs()`` can
-    hand back the underlying materialized blocks without applying the
-    projection, so positional access would read the wrong column."""
-    import pyarrow.compute as pc
-
-    if t.num_rows == 0 or col not in t.column_names:
-        return (False,)
-    return (bool(pc.any(t[col]).as_py() or False),)
 
 
 def _spool_fastx_once(pages_path: str, ckpt_root: str | None) -> str:
@@ -101,77 +89,6 @@ def _spool_fastx_once(pages_path: str, ckpt_root: str | None) -> str:
     return spool, True
 
 
-def _drop_filter_fn(drops_ds, key_cols=("text",), row_cols=("url", "warc_ts")):
-    """Broadcast drop-row filter: two-stage sorted 128-bit hash membership,
-    applied as a streaming Arrow pass (the payload is filtered, never
-    shuffled).
-
-    Stage 1 probes the (url, warc_ts) ROW key — cheap, runs on every row.
-    Stage 2 recomputes the CONTENT identity only for stage-1 hits (~n_drops
-    rows corpus-wide) and confirms it against the drop entry's content key:
-    a recrawled url whose winner row shares the url must not be swept out by
-    a bare id-membership test (each drop entry names exactly one losing row;
-    full winner ties never reach this filter — the caller falls back)."""
-    import numpy as np
-    import pyarrow as pa
-
-    from ..stages.dedup_exact import _identity128
-    from ..stages.exchange import fetch_cached, nonempty_block_refs
-    from ..stages.minhash import _id_member_mask_pre
-
-    row_cols = list(row_cols)
-    key_cols = list(key_cols)
-
-    @ray.remote
-    def _block_keys(t):
-        from ..stages.exchange import as_arrow_block
-
-        t = as_arrow_block(t)  # internal refs can be pandas blocks
-        u1, u2 = _identity128(t, row_cols)
-        return u1, u2, t["_k1"].to_numpy(), t["_k2"].to_numpy()
-
-    parts = [
-        p
-        for p in ray.get(
-            [_block_keys.remote(r) for r in nonempty_block_refs(drops_ds)]
-        )
-        if len(p[0])
-    ]
-    if not parts:
-        return None
-    u1 = np.concatenate([p[0] for p in parts])
-    u2 = np.concatenate([p[1] for p in parts])
-    k1 = np.concatenate([p[2] for p in parts])
-    k2 = np.concatenate([p[3] for p in parts])
-    from ..functions.hashing import combine_hash64
-
-    order = np.argsort(u1, kind="stable")
-    # stage-2 key: row key and content key folded into one sorted 128-bit
-    # pair — membership via the same searchsorted kernel as stage 1
-    m1 = combine_hash64(u1, k1)
-    m2 = combine_hash64(u2, k2)
-    morder = np.argsort(m1, kind="stable")
-    ref = ray.put((u1[order], u2[order], m1[morder], m2[morder]))
-
-    def drop_filter(t: pa.Table) -> pa.Table:
-        iu1, iu2, im1, im2 = fetch_cached(ref)
-        q1, q2 = _identity128(t, row_cols)
-        hit = _id_member_mask_pre((iu1, iu2), q1, q2)
-        if not hit.any():
-            return t
-        hidx = np.nonzero(hit)[0]
-        sub = t.take(pa.array(hidx, pa.int64()))
-        c1, c2 = _identity128(sub, key_cols)
-        conf = _id_member_mask_pre(
-            (im1, im2), combine_hash64(q1[hidx], c1), combine_hash64(q2[hidx], c2)
-        )
-        mask = np.zeros(t.num_rows, dtype=bool)
-        mask[hidx[conf]] = True
-        return t.filter(pa.array(~mask))
-
-    return drop_filter
-
-
 def run_flagship(
     pages_path: str,
     out_dir: str | None = None,
@@ -179,7 +96,6 @@ def run_flagship(
     params: MinHashParams = MinHashParams(),
     threshold: float | None = None,
     verify: bool = True,
-    drop_broadcast_budget: int = 5_000_000,
 ):
     """Returns (kept: Dataset [lazy], clusters: Dataset, metrics: dict).
 
@@ -187,14 +103,12 @@ def run_flagship(
     the --verbose counter surface (A7) extended with the timing breakdown a
     cluster operator reads first.
 
-    ``drop_broadcast_budget`` caps the exact-stage drop-set broadcast: web
-    corpora run 30-50% exact-duplicate, so at 10^12 docs the drop set is
-    ~10^11 entries — far past what the driver can ``ray.get`` and re-ship to
-    every filter task. Above the budget both the slim and the full-column
-    chains route through the value-comparing payload-shuffle dedup (the same
-    fallback the full-tie ``ambig`` path uses; stages.dedup_exact:378), which
-    exchanges each row once instead of funnelling the drop set through the
-    driver. The kept (url, warc_ts) set is identical on both limbs — keep-
+    One ``exact_gate`` removes the exact-stage losers from both the slim and
+    the full-column chain. Web corpora run 30-50% exact-duplicate, so at
+    10^12 docs the drop set is ~10^11 entries: past
+    ``exchange.DROP_BROADCAST_BUDGET`` the gate's ``semi_filter`` co-locates
+    each chain with the drop keys in one exchange instead of broadcasting
+    them. The kept (url, warc_ts) set is identical on every limb — keep-
     first winners are a data property, not an execution-path property."""
     import time as _time
 
@@ -236,57 +150,23 @@ def run_flagship(
         drops = ray.data.read_parquet(
             os.path.join(ckpt_root, "exact"), file_extensions=["parquet"]
         )
-        n_drops = man["rows"]
         metrics["valid"] = man["extra"]["n_valid"]
     else:
         ctr: dict = {}
         drops = exact_drop_ids(good_slim, counters=ctr).materialize()
-        n_drops = drops.count()
         metrics["valid"] = ctr["n_input"]
-        if ckpt_root and n_drops <= drop_broadcast_budget:
-            # an over-budget drop set is about to be DISCARDED for the
-            # value-comparing shuffle — persisting it would write the one
-            # artifact this gate exists to avoid. (The slim drop exchange
-            # itself still ran before the count — accepted: slim rows are
-            # ~1-2% of the paranoid pass's payload bytes, and the count is
-            # what decides the limb.)
+        if ckpt_root:
             drops = checkpoint(
                 drops, ckpt_root, "exact", fp0, extra={"n_valid": metrics["valid"]}
             )
     metrics["quarantined"] = total - metrics["valid"]
-    over_budget = n_drops > drop_broadcast_budget
-    # over budget the paranoid shuffle compares actual values, so full-tie
-    # ambiguity is moot — skip the per-block scan
-    ambig_any = (
-        not over_budget
-        and n_drops > 0
-        and any(
-            r[0]
-            for r in ray.get([_any_true.remote(ref) for ref in drops.to_arrow_refs()])
-        )
-    )
-    if ambig_any or over_budget:
-        # two reasons to abandon the drop-set broadcast: (a) a losing row
-        # fully ties its keep-first winner (same url, warc_ts AND content) —
-        # no slim key can name the loser alone; (b) the drop set exceeds the
-        # broadcast budget — ray.get-ing ~10^11 entries into the driver and
-        # re-shipping them per filter task is the one driver-side funnel this
-        # pipeline must never have at corpus scale. Both route to the
-        # value-comparing payload-shuffle dedup. The kept (url, warc_ts) set
-        # is deterministic (content groups and their order minima are data
-        # properties), so the slim and full chains stay aligned.
-        from ..stages.dedup_exact import dedup_exact as _dedup_exact
-
-        exact_slim = _dedup_exact(good_slim, paranoid=True).materialize()
+    gate, n_drops = exact_gate(drops, ["text"], DEFAULT_ORDER)
+    exact_slim = gate(good_slim)
+    if n_drops is None:
+        # a losing row fully ties its keep-first winner (same url, warc_ts
+        # AND content): the gate compares actual values — count its output
+        exact_slim = exact_slim.materialize()
         n_drops = metrics["valid"] - exact_slim.count()
-        drop_filter = None
-    else:
-        drop_filter = _drop_filter_fn(drops) if n_drops > 0 else None
-        exact_slim = (
-            good_slim.map_batches(drop_filter, batch_format="pyarrow")
-            if drop_filter is not None
-            else good_slim
-        )
     metrics["after_exact"] = metrics["valid"] - n_drops
     _mark("exact_dedup")
 
@@ -333,17 +213,8 @@ def run_flagship(
 
     # representative pick over the SLIM filtered projection; the keep-filter
     # applies to the lazy FULL-column chain (html decoded only when consumed)
-    full_good, _ = split_quarantine(read_pages(pages_path))
-    if ambig_any or over_budget:
-        from ..stages.dedup_exact import dedup_exact as _dedup_exact
-
-        # same value-comparing dedup over the full columns; keeps the same
-        # (url, warc_ts) row set as the slim chain (see the fallback note)
-        exact_full = _dedup_exact(full_good, paranoid=True)
-    elif drop_filter is not None:
-        exact_full = full_good.map_batches(drop_filter, batch_format="pyarrow")
-    else:
-        exact_full = full_good
+    # the same gate over the full columns keeps the same (url, warc_ts) rows
+    exact_full = gate(split_quarantine(read_pages(pages_path))[0])
     rctr: dict = {}
     kept, clusters = _rep.apply_cluster_labels(
         exact_slim,

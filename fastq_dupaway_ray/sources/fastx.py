@@ -456,10 +456,9 @@ def write_fastx_sharded(
     rewrite (unique order keys — e.g. warc_ts from the fastx reader —
     never hit this).
 
-    Parts are written by remote tasks with plain ``open()`` on the path as
-    the task's node sees it — there is no pyarrow filesystem layer as in
-    the parquet sinks. A multi-node run therefore needs ``out_dir`` on a
-    mount every node shares; otherwise parts land on worker-local disks.
+    Part tasks write with plain ``open()``, so they are pinned to the
+    driver's node (hard node affinity): ``out_dir`` is the driver's path on
+    any cluster, and parts never land on worker-local disks.
     """
     import json as _json
     import os
@@ -536,11 +535,18 @@ def write_fastx_sharded(
         with open(tmp, "w") as f:
             _json.dump(manifest, f)
         os.replace(tmp, man_path)
+    from ray.util.scheduling_strategies import NodeAffinitySchedulingStrategy
+
+    on_driver = _write_part.options(
+        scheduling_strategy=NodeAffinitySchedulingStrategy(
+            node_id=ray.get_runtime_context().get_node_id(), soft=False
+        )
+    )
     pending, done = [], 0
     for idx, (ref, _st) in enumerate(blocks):
         part = os.path.join(out_dir, f"part-{idx:05d}.{ext}")
         if os.path.exists(part):
             done += layout[idx][0]  # finished under THIS validated layout
             continue
-        pending.append(_write_part.remote(ref, part))
+        pending.append(on_driver.remote(ref, part))
     return done + sum(ray.get(pending))

@@ -18,10 +18,9 @@ Two modes:
   identity rows from BOTH sides (side-tagged) through one hash exchange;
   each bucket intersects the two sides and emits the matching identities —
   the drop set, bounded by the CONTAMINATION size, small by definition in
-  the realistic regime — which is broadcast READY and applied in one
-  streaming filter over B (payload never shuffles). Above the broadcast
-  budget the payload-exchange limb co-shuffles B's rows with A's slim
-  identities and filters per bucket (payload moves once).
+  the realistic regime — and ``exchange.semi_filter`` removes them from B:
+  one streaming filter under its broadcast budget (payload never
+  shuffles), one payload-with-keys exchange above it (payload moves once).
 
 * ``cross_dedup_minhash`` — near-duplicates via the flagship MinHash/LSH
   machinery: A ∪ B are side-tag-prefixed, signed and banded together,
@@ -29,11 +28,13 @@ Two modes:
   that contains at least one A member is dropped (cluster-transitive, the
   same judgment the within-corpus pipeline applies when it keeps one
   representative per cluster). B-only clusters are untouched. The label
-  pass is one slim exchange on the cluster label; the resulting B drop-id
-  set is broadcast (budget-gated with a payload-exchange fallback).
+  pass is one slim exchange on the cluster label; the resulting B drop ids
+  go through the same ``semi_filter``, keyed on the id hash pair.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import pyarrow as pa
@@ -63,7 +64,6 @@ def cross_dedup_exact(
     reference: ray.data.Dataset,
     key_cols=("text",),
     num_buckets: int = 64,
-    drop_broadcast_budget: int = 5_000_000,
     counters: dict | None = None,
 ) -> ray.data.Dataset:
     """Drop every ``corpus`` row whose content identity appears in
@@ -72,7 +72,7 @@ def cross_dedup_exact(
     non-contaminated content ride through untouched.
     """
     key_cols = list(key_cols)
-    from .exchange import fetch_cached, hash_exchange
+    from .exchange import _pair_lookup_pos, _unique_pairs, hash_exchange, semi_filter
 
     slim = _slim_identity(reference, key_cols, 0).union(
         _slim_identity(corpus, key_cols, 1)
@@ -91,116 +91,16 @@ def cross_dedup_exact(
         if not ref.any() or ref.all():
             return empty
         # distinct contaminated identities: corpus pairs ∩ reference pairs
-        r1, r2 = k1[ref], k2[ref]
-        order = np.lexsort((r2, r1))
-        r1, r2 = r1[order], r2[order]
-        from .minhash import _pair_lookup_pos
-
+        r1, r2 = _unique_pairs(k1[ref], k2[ref])
         q1, q2 = k1[~ref], k2[~ref]
-        _, found = _pair_lookup_pos(r1, r2, q1, q2)
-        if not found.any():
-            return empty
-        h1, h2 = q1[found], q2[found]
-        u = np.unique(np.stack([h1, h2], axis=1), axis=0)
-        return pa.table(
-            {"_k1": pa.array(u[:, 0], pa.uint64()), "_k2": pa.array(u[:, 1], pa.uint64())}
-        )
+        found = _pair_lookup_pos(r1, r2, q1, q2)[1]
+        h1, h2 = _unique_pairs(q1[found], q2[found])
+        return pa.table({"_k1": pa.array(h1, pa.uint64()), "_k2": pa.array(h2, pa.uint64())})
 
     drops = hash_exchange(slim, "_k1", num_buckets, bucket_hits)
-    n_drops = drops.count()
     if counters is not None:
-        counters["contaminated_identities"] = n_drops
-    if n_drops == 0:
-        return corpus
-    if n_drops > drop_broadcast_budget:
-        return _payload_exchange_filter(
-            corpus, drops, lambda b: _identity128(b, key_cols), num_buckets
-        )
-
-    ddf = drops.to_pandas()
-    order = np.lexsort((ddf["_k2"].to_numpy(), ddf["_k1"].to_numpy()))
-    drop_ref = ray.put(
-        pa.table(
-            {
-                "_k1": pa.array(ddf["_k1"].to_numpy()[order], pa.uint64()),
-                "_k2": pa.array(ddf["_k2"].to_numpy()[order], pa.uint64()),
-            }
-        )
-    )
-
-    def keep(batch: pa.Table) -> pa.Table:
-        from .minhash import _pair_lookup_pos
-
-        k1, k2 = _identity128(batch, key_cols)
-        idx = fetch_cached(
-            drop_ref, lambda t: (t["_k1"].to_numpy(), t["_k2"].to_numpy())
-        )
-        _, found = _pair_lookup_pos(idx[0], idx[1], k1, k2)
-        return batch.filter(pa.array(~found))
-
-    return corpus.map_batches(keep, batch_format="pyarrow")
-
-
-def _payload_exchange_filter(
-    corpus: ray.data.Dataset, drops: ray.data.Dataset, key_fn, num_buckets: int
-) -> ray.data.Dataset:
-    """Above-budget limb shared by both modes: corpus payload co-shuffled
-    with the drop keys on _k1; each bucket filters locally (payload moves
-    once). ``key_fn(batch) -> (k1, k2)`` derives the 128-bit row key —
-    content identity in exact mode, id-hash pair in near mode. ``drops``
-    must carry (_k1, _k2)."""
-    from .exchange import hash_exchange
-    from .minhash import _pair_lookup_pos
-
-    def tag(batch: pa.Table) -> pa.Table:
-        k1, k2 = key_fn(batch)
-        return batch.append_column("_k1", pa.array(k1, pa.uint64())).append_column(
-            "_k2", pa.array(k2, pa.uint64())
-        ).append_column("_side", pa.array(np.ones(len(k1), dtype=np.int8), pa.int8()))
-
-    payload_cols = corpus.schema().names
-    # the exchange reduce concatenates blocks, so both union sides must match
-    # schemas exactly — drop rows are padded with typed nulls below.
-    # Dataset.schema() on the tagged side peeks at ONE block (our own Arrow
-    # map fn, so real pyarrow types) without materializing the payload — the
-    # exchange downstream is the single full pass over the corpus
-    tagged = corpus.map_batches(tag, batch_format="pyarrow")
-    ts = tagged.schema()
-    full_schema = pa.schema(list(zip(ts.names, ts.types)))
-
-    def tag_drop(t: pa.Table) -> pa.Table:
-        cols = {}
-        for f in full_schema:
-            if f.name == "_k1":
-                cols[f.name] = t["_k1"]
-            elif f.name == "_k2":
-                cols[f.name] = t["_k2"]
-            elif f.name == "_side":
-                cols[f.name] = pa.array(np.zeros(t.num_rows, dtype=np.int8), pa.int8())
-            else:
-                cols[f.name] = pa.nulls(t.num_rows, type=f.type)
-        return pa.table(cols)
-
-    both = drops.map_batches(tag_drop, batch_format="pyarrow").union(tagged)
-
-    def bucket_filter(t: pa.Table | None) -> pa.Table:
-        if t is None:
-            return pa.table({})
-        if t.num_rows == 0:
-            return t.select(payload_cols)
-        side = t["_side"].to_numpy()
-        rows = t.filter(pa.array(side == 1))
-        if rows.num_rows == 0:
-            return rows.select(payload_cols)
-        d = t.filter(pa.array(side == 0))
-        d1, d2 = d["_k1"].to_numpy(), d["_k2"].to_numpy()
-        order = np.lexsort((d2, d1))
-        _, found = _pair_lookup_pos(
-            d1[order], d2[order], rows["_k1"].to_numpy(), rows["_k2"].to_numpy()
-        )
-        return rows.filter(pa.array(~found)).select(payload_cols)
-
-    return hash_exchange(both, "_k1", num_buckets, bucket_filter)
+        counters["contaminated_identities"] = drops.count()
+    return semi_filter(corpus, drops, functools.partial(_identity128, key_cols=key_cols))
 
 
 def _tag_side(ds: ray.data.Dataset, prefix: str, id_col: str, text_col: str) -> ray.data.Dataset:
@@ -256,7 +156,6 @@ def cross_dedup_minhash(
     params=None,
     threshold: float | None = None,
     num_buckets: int = 64,
-    drop_broadcast_budget: int = 5_000_000,
     counters: dict | None = None,
     reference_bands: ray.data.Dataset | None = None,
 ) -> ray.data.Dataset:
@@ -273,8 +172,8 @@ def cross_dedup_minhash(
     """
     from ..functions.sketches import MinHashParams
     from .components import connected_components
-    from .exchange import fetch_cached, hash_exchange
-    from .minhash import dedup_edges_minhash
+    from .exchange import hash_exchange, semi_filter
+    from .minhash import _column_id_pair, dedup_edges_minhash
     from ..functions.hashing import hash64
 
     params = params or MinHashParams()
@@ -329,58 +228,12 @@ def cross_dedup_minhash(
         num_buckets,
         contaminated_b,
     )
-    n_drops = drops.count()
     if counters is not None:
-        counters["cross_near_drops"] = n_drops
-    if n_drops == 0:
-        return corpus
+        counters["cross_near_drops"] = drops.count()
 
-    from .minhash import _id_hash_pair
+    def as_keys(t: pa.Table) -> pa.Table:
+        h1, h2 = _column_id_pair(t, "b_id")
+        return pa.table({"_k1": pa.array(h1, pa.uint64()), "_k2": pa.array(h2, pa.uint64())})
 
-    if n_drops > drop_broadcast_budget:
-        # payload-exchange limb: reuse the exact-mode shuffle filter keyed on
-        # the id (membership by id, not content, in near mode)
-        def as_keys(t: pa.Table | None) -> pa.Table:
-            if t is None or t.num_rows == 0:
-                return pa.table(
-                    {"_k1": pa.array([], pa.uint64()), "_k2": pa.array([], pa.uint64())}
-                )
-            h1, h2 = _id_hash_pair(
-                t["b_id"].to_numpy(zero_copy_only=False).astype(object)
-            )
-            return pa.table(
-                {"_k1": pa.array(h1, pa.uint64()), "_k2": pa.array(h2, pa.uint64())}
-            )
-
-        keys = drops.map_batches(as_keys, batch_format="pyarrow")
-        def id_key(batch: pa.Table):
-            arr = batch[id_col]
-            if isinstance(arr, pa.ChunkedArray):
-                arr = arr.combine_chunks()
-            return _id_hash_pair(arr.to_numpy(zero_copy_only=False).astype(object))
-
-        return _payload_exchange_filter(corpus, keys, id_key, num_buckets)
-
-    ddf = drops.to_pandas()
-    h1, h2 = _id_hash_pair(ddf["b_id"].to_numpy().astype(object))
-    order = np.lexsort((h2, h1))
-    drop_ref = ray.put(
-        pa.table(
-            {"_k1": pa.array(h1[order], pa.uint64()), "_k2": pa.array(h2[order], pa.uint64())}
-        )
-    )
-
-    def keep(batch: pa.Table) -> pa.Table:
-        idx = fetch_cached(
-            drop_ref, lambda t: (t["_k1"].to_numpy(), t["_k2"].to_numpy())
-        )
-        arr = batch[id_col]
-        if isinstance(arr, pa.ChunkedArray):
-            arr = arr.combine_chunks()
-        q1, q2 = _id_hash_pair(arr.to_numpy(zero_copy_only=False).astype(object))
-        from .minhash import _pair_lookup_pos
-
-        _, found = _pair_lookup_pos(idx[0], idx[1], q1, q2)
-        return batch.filter(pa.array(~found))
-
-    return corpus.map_batches(keep, batch_format="pyarrow")
+    keys = drops.map_batches(as_keys, batch_format="pyarrow")
+    return semi_filter(corpus, keys, functools.partial(_column_id_pair, col=id_col))

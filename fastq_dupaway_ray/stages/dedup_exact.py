@@ -17,15 +17,15 @@ shared mutable state. Instead:
 3. one Arrow-vectorized pass per bucket keeps the first row per identity in
    arrival order (order key = (warc_ts, url) — "first in file order").
 
-Shuffle shape at 100 TB: the heavy payload NEVER enters the exchange. The
-slim rows decide which rows LOSE keep-first; the drop set — the duplicates,
-the small side by definition — is broadcast and the full payload streams
-through one filter pass (same pattern as stages.representative). The
-duplicate clusters (--write-clusters) come from the same exchange: each slim
-row also carries its identity group's winner id. When the drop set exceeds
-the broadcast budget, or a loser fully ties its winner, the value-comparing
-payload-shuffle path filters the payload instead (its local combiner still
-pre-drops within-batch losers first).
+Shuffle shape at 100 TB: the heavy payload NEVER enters the slim exchange.
+The slim rows decide which rows LOSE keep-first, and ``exact_gate`` removes
+those losers from the payload through ``exchange.semi_filter`` — broadcast
+when the drop set fits ``exchange.DROP_BROADCAST_BUDGET``, else one
+payload-with-keys exchange; both limbs are exact. The duplicate clusters
+(--write-clusters) come from the same exchange: each slim row also carries
+its identity group's winner id. Only a loser that fully ties its winner
+(no slim key can name it) sends the payload through the value-comparing
+shuffle (its local combiner still pre-drops within-batch losers first).
 
 Identity: two independent 64-bit hashes + per-column lengths (~2^-128
 collision odds per pair — at 10^12 rows the expected collision count is
@@ -38,7 +38,6 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
@@ -62,31 +61,20 @@ def _value_lengths(vals: np.ndarray) -> np.ndarray:
         return np.zeros(len(vals), dtype=np.uint64)
 
 
-def add_identity_columns(
-    batch: pa.Table, key_cols=("text",), hash_col: str = "_key64", bucket_col: str = "_bucket", num_buckets: int = 64
-) -> pa.Table:
-    """Append the composite identity hash + shuffle bucket (vectorized)."""
-    hashes = []
-    for col in key_cols:
-        arr = batch[col]
-        if isinstance(arr, pa.ChunkedArray):
-            arr = arr.combine_chunks()
-        vals = arr.to_numpy(zero_copy_only=False).astype(object)
-        h = hash64(vals)
-        lens = _value_lengths(vals)
-        hashes.append(h)
-        hashes.append(lens)
-    key = combine_hash64(*hashes)
-    bucket = (key % np.uint64(num_buckets)).astype(np.int64)
-    return batch.append_column(hash_col, pa.array(key, pa.uint64())).append_column(
-        bucket_col, pa.array(bucket, pa.int64())
+def _local_keep_first(t: pa.Table, key_cols, order_cols) -> pa.Table:
+    """Within-table keep-first by value equality (Arrow-vectorized, so
+    column types never go through pandas inference): the earliest row by
+    ``order_cols`` of each ``key_cols`` tuple, in ``order_cols`` order."""
+    if t.num_rows == 0:
+        return t
+    t = t.take(pc.sort_indices(t, sort_keys=[(c, "ascending") for c in order_cols]))
+    first = (
+        t.select(list(key_cols))
+        .append_column("_row", pa.array(np.arange(t.num_rows)))
+        .group_by(list(key_cols), use_threads=False)
+        .aggregate([("_row", "min")])["_row_min"]
     )
-
-
-def _local_keep_first(df: pd.DataFrame, key_cols, order_cols) -> pd.DataFrame:
-    """Vectorized within-partition keep-first by value equality."""
-    df = df.sort_values(list(order_cols), kind="mergesort")
-    return df.drop_duplicates(subset=list(key_cols), keep="first")
+    return t.take(np.sort(first.to_numpy()))
 
 
 def _identity128(batch: pa.Table, key_cols) -> tuple:
@@ -107,6 +95,34 @@ def _identity128(batch: pa.Table, key_cols) -> tuple:
         parts2.extend((hash64(vals, alt_key=True), lens))
     k1 = combine_hash64(*parts)
     k2 = combine_hash64(*parts2, np.full(len(k1), _SALT2, dtype=np.uint64))
+    return k1, k2
+
+
+def _row_key(batch: pa.Table, cols) -> tuple:
+    """128-bit identity of each row's ``cols`` tuple, cheap enough to probe
+    every payload row with, and a function of the row alone (drop keys and
+    payload probes are computed over different batches). Integer and
+    timestamp columns enter by value plus their null mask: exact, where
+    SipHash would first box each value as a Python object (~30 ms per 12k
+    timestamps; a (warc_ts, url) key costs ~4 ms this way). Other columns
+    take ``_identity128``'s two SipHashes."""
+    n = batch.num_rows
+    by_value = [
+        c for c in cols
+        if pa.types.is_integer(batch.schema.field(c).type)
+        or pa.types.is_timestamp(batch.schema.field(c).type)
+    ]
+    rest = [c for c in cols if c not in by_value]
+    if rest:
+        k1, k2 = _identity128(batch, rest)
+    else:
+        k1, k2 = np.zeros(n, np.uint64), np.full(n, _SALT2, np.uint64)
+    for c in by_value:
+        arr = batch[c]
+        vals = pc.fill_null(pc.cast(arr, pa.int64(), safe=False), 0).to_numpy()
+        nulls = np.asarray(pc.is_null(arr))
+        k1 = combine_hash64(k1, vals, nulls)
+        k2 = combine_hash64(k2, vals, nulls)
     return k1, k2
 
 
@@ -232,7 +248,6 @@ def dedup_exact(
     key_cols=("text",),
     order_cols=DEFAULT_ORDER,
     num_buckets: int = 64,
-    drop_broadcast_budget: int = 5_000_000,
     paranoid: bool = False,
     counters: dict | None = None,
 ) -> ray.data.Dataset:
@@ -242,11 +257,9 @@ def dedup_exact(
     ``order_cols`` must uniquely identify a row (the reference's arrival key
     is unique by construction — file position).
 
-    Default path: slim identity exchange -> drop-set broadcast -> payload
-    filter pass (see module docstring). ``num_buckets`` caps the exchange
-    width — size it ~2-4x total cores; skew is no concern because bucketing
-    is by uniform hash. Falls back to the payload-shuffle path when the
-    drop set exceeds ``drop_broadcast_budget`` rows.
+    Default path: slim identity exchange -> ``exact_gate`` (see module
+    docstring). ``num_buckets`` caps the exchange width — size it ~2-4x
+    total cores; skew is no concern because bucketing is by uniform hash.
 
     ``paranoid=True`` selects the payload-shuffle path unconditionally: it
     compares ACTUAL key values inside each hash bucket, giving the
@@ -254,8 +267,8 @@ def dedup_exact(
     :10-33) with zero hash-collision exposure, at the cost of shuffling the
     payload once.
 
-    ``counters`` (slim limbs) receives ``n_input`` and, when the broadcast
-    limb ran, ``drops``.
+    ``counters`` (slim limbs) receives ``n_input`` and, unless a full tie
+    sent the payload through the value-comparing shuffle, ``drops``.
     """
     if paranoid:
         return _dedup_exact_shuffle(ds, list(key_cols), list(order_cols), num_buckets)
@@ -265,7 +278,6 @@ def dedup_exact(
         id_col=None,
         order_cols=order_cols,
         num_buckets=num_buckets,
-        drop_broadcast_budget=drop_broadcast_budget,
         counters=counters,
     )
     return kept
@@ -277,7 +289,6 @@ def dedup_exact_with_clusters(
     id_col: str | None = "url",
     order_cols=DEFAULT_ORDER,
     num_buckets: int = 64,
-    drop_broadcast_budget: int = 5_000_000,
     counters: dict | None = None,
 ) -> tuple[ray.data.Dataset, ray.data.Dataset | None]:
     """``dedup_exact`` plus its ``dedup_exact_clusters`` table from ONE slim
@@ -293,70 +304,70 @@ def dedup_exact_with_clusters(
     if id_col is None:
         drops, clusters = rows, None
     else:
-        drops = rows.map_batches(_drop_rows, batch_format="pyarrow").materialize()
+        drops = rows.map_batches(_drop_rows, batch_format="pyarrow")
         clusters = rows.map_batches(
             _cluster_rows, batch_format="pyarrow", fn_kwargs={"id_col": id_col}
         )
-    n_drops = drops.count()
-    if n_drops > drop_broadcast_budget:
-        return _dedup_exact_shuffle(ds, key_cols, order_cols, num_buckets), clusters
-    if n_drops == 0:
-        if counters is not None:
-            counters["drops"] = 0
-        return ds, clusters  # nothing to drop (an empty Dataset also loses its schema)
-    dtab = pa.concat_tables(ray.get(drops.to_arrow_refs()))
-    if pc.any(dtab["_ambig"]).as_py():
-        # a loser fully ties its winner (same content AND same order tuple):
-        # no slim key can name the loser alone — compare actual values
-        return _dedup_exact_shuffle(ds, key_cols, order_cols, num_buckets), clusters
-    if counters is not None:
+    gate, n_drops = exact_gate(drops, key_cols, order_cols, num_buckets)
+    if counters is not None and n_drops is not None:
         # exact duplicate count, known without consuming the filtered payload
-        # (callers use it to avoid a pure-count pass over the corpus); exact
-        # because each drop entry names exactly one row — order-tuple
-        # look-alikes with different content fail the stage-2 key check, and
-        # full ties took the shuffle limb above
+        # (callers use it to avoid a pure-count pass over the corpus)
         counters["drops"] = n_drops
-    drop_ref = ray.put(dtab.select([*order_cols, "_k1", "_k2"]))
-    from .exchange import fetch_cached
+    return gate(ds), clusters
 
-    def keep_filter(df: pd.DataFrame) -> pd.DataFrame:
-        # two-stage membership: a cheap order-tuple hit pass over every row,
-        # then the content identity recomputed ONLY for the hits (~n_drops
-        # rows corpus-wide) and confirmed against the drop entry's key pair
-        tuples, full = fetch_cached(
-            drop_ref,
-            lambda t: (
-                set(zip(*(t[c].to_pylist() for c in order_cols))),
-                set(
-                    zip(
-                        *(t[c].to_pylist() for c in order_cols),
-                        t["_k1"].to_numpy(),
-                        t["_k2"].to_numpy(),
-                    )
-                ),
-            ),
-        )
-        idx = pd.MultiIndex.from_arrays([df[c] for c in order_cols])
-        hit = idx.isin(tuples)
-        if not hit.any():
-            return df
-        sub = df.loc[hit]
-        k1, k2 = _identity128(
-            pa.Table.from_pandas(sub[key_cols], preserve_index=False), key_cols
-        )
-        confirmed = np.fromiter(
-            (
-                tup in full
-                for tup in zip(*(sub[c] for c in order_cols), k1, k2)
-            ),
-            dtype=bool,
-            count=len(sub),
-        )
-        mask = np.zeros(len(df), dtype=bool)
-        mask[np.nonzero(hit)[0][confirmed]] = True
-        return df[~mask]
 
-    return ds.map_batches(keep_filter, batch_format="pandas"), clusters
+@ray.remote(num_returns=2)
+def _gate_block(block, order_cols) -> tuple:
+    """One block of loser rows -> (its ``semi_filter`` keys, whether any of
+    them fully ties its winner). The key is the order-tuple ``_row_key``,
+    confirmed by the content identity the slim exchange computed."""
+    from .exchange import as_arrow_block
+
+    t = as_arrow_block(block)  # internal refs can be pandas blocks
+    k1, k2 = _row_key(t, order_cols)
+    keys = pa.table(
+        {
+            "_k1": pa.array(k1, pa.uint64()),
+            "_k2": pa.array(k2, pa.uint64()),
+            "_c1": t["_k1"],
+            "_c2": t["_k2"],
+        }
+    )
+    return keys, bool(pc.any(t["_ambig"]).as_py())
+
+
+def exact_gate(drops: ray.data.Dataset, key_cols, order_cols, num_buckets: int = 64):
+    """The one exact keep-first gate: ``(gate, n_drops)`` for the loser rows
+    of a slim exchange (order cols, ``_k1``, ``_k2``, ``_ambig``).
+
+    ``gate(ds)`` removes those losers from ``ds`` — any dataset carrying the
+    order and key columns of the rows ``drops`` came from (the flagship
+    gates a slim projection and the full-column read with one gate). A
+    loser is named by its order tuple (``_row_key``, probed on every row)
+    and confirmed by its content identity (recomputed for the hits only),
+    so an order-tuple look-alike with other content survives;
+    ``exchange.semi_filter_gate`` picks broadcast or exchange and prepares
+    the key set once, however many datasets ``gate`` filters. A loser that fully
+    ties its winner (``_ambig``) cannot be named by any slim key: then
+    ``gate`` is the value-comparing ``_dedup_exact_shuffle`` and ``n_drops``
+    is None (count the gate's output instead)."""
+    from .exchange import nonempty_block_refs, semi_filter_gate
+
+    key_cols, order_cols = list(key_cols), list(order_cols)
+    parts = [_gate_block.remote(r, order_cols) for r in nonempty_block_refs(drops)]
+    if not parts:
+        return (lambda ds: ds), 0  # an empty Dataset would also lose its schema
+    if any(ray.get([ambig for _keys, ambig in parts])):
+        return functools.partial(
+            _dedup_exact_shuffle, key_cols=key_cols, order_cols=order_cols, num_buckets=num_buckets
+        ), None
+    keys = ray.data.from_arrow_refs([keys for keys, _ambig in parts])
+    n_drops = keys.count()
+    return semi_filter_gate(
+        keys,
+        key_fn=functools.partial(_row_key, cols=order_cols),
+        confirm_fn=functools.partial(_identity128, key_cols=key_cols),
+    ), n_drops
 
 
 def exact_drop_ids(
@@ -372,14 +383,13 @@ def exact_drop_ids(
     The fused-flagship building block: the slim exchange of
     ``_keep_first_exchange`` emits the rows that LOSE keep-first as
     (id, order cols, _k1, _k2, _ambig). The payload never moves; the caller
-    broadcasts the drop set and streams whatever filter passes it needs.
-    The content key pair rides along so the filter can confirm a hit — an
-    id that repeats in the corpus (same url recrawled) must not have its
+    hands the drop set to ``exact_gate`` and gates whatever datasets it
+    needs. The content key pair rides along so the gate can confirm a hit —
+    an id that repeats in the corpus (same url recrawled) must not have its
     keep-first WINNER row dropped by a bare id-membership test. ``_ambig``
     marks a loser whose full (content, id, order) tuple ties its group
-    winner's — no slim key can name that loser alone, and the caller must
-    fall back to a value-comparing dedup (``dedup_exact``'s shuffle limb).
-    ``counters`` receives ``n_input`` (rows seen — the valid-count for
+    winner's — no slim key can name that loser alone, and the gate falls
+    back to the value-comparing shuffle. ``counters`` receives ``n_input`` (rows seen — the valid-count for
     free) when provided."""
     from .exchange import default_shuffle_buckets
 
@@ -394,24 +404,25 @@ def exact_drop_ids(
 def _dedup_exact_shuffle(
     ds: ray.data.Dataset, key_cols, order_cols, num_buckets: int
 ) -> ray.data.Dataset:
-    """Payload-shuffle fallback (drop set too large to broadcast). The local
-    combiner pre-drops within-batch losers so their payload never shuffles;
-    keep-first compares actual key values (collision-exact)."""
+    """Value-comparing payload shuffle (``paranoid=True``, and full ties no
+    slim key can name). The local combiner pre-drops within-batch losers so
+    their payload never shuffles; one task hash exchange on the identity
+    hash co-locates equal keys, and keep-first compares actual key values
+    (collision-exact)."""
+    from .exchange import hash_exchange
 
     def prepare(batch: pa.Table) -> pa.Table:
-        return add_identity_columns(batch, key_cols, num_buckets=num_buckets)
+        batch = _local_keep_first(batch, key_cols, order_cols)
+        k = _identity128(batch, key_cols)[0]
+        return batch.append_column("_key64", pa.array(k, pa.uint64()))
 
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
-        return _local_keep_first(df, key_cols, order_cols)
+    def per_bucket(t: pa.Table | None) -> pa.Table:
+        if t is None:
+            return pa.table({})
+        return _local_keep_first(t, key_cols, order_cols).drop_columns(["_key64"])
 
-    def per_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        out = _local_keep_first(df, key_cols, order_cols)
-        return out.drop(columns=["_key64", "_bucket"])
-
-    prepared = ds.map_batches(prepare, batch_format="pyarrow").map_batches(
-        combine, batch_format="pandas"
-    )
-    return prepared.groupby("_bucket").map_groups(per_bucket, batch_format="pandas")
+    prepared = ds.map_batches(prepare, batch_format="pyarrow")
+    return hash_exchange(prepared, "_key64", num_buckets, per_bucket)
 
 
 def dedup_exact_clusters(

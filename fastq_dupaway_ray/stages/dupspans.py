@@ -30,6 +30,8 @@ Shape (exact, two slim exchanges, text never shuffles):
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -42,11 +44,10 @@ _BASE2 = 1000033  # second independent polynomial (both odd)
 
 
 def _id_hash64(ids: np.ndarray) -> np.ndarray:
-    """id column -> uint64: identity for integer ids, SipHash for strings.
-    ONE definition — the dup-doc broadcast set is BUILT and PROBED with
-    this mapping, and _id_bucket derives from it; a divergent copy would
-    silently declare duplicated docs clean (breaking the prefilter's
-    exactness) or stop co-locating docs with their cut rows."""
+    """id column -> uint64 exchange key: identity for integer ids, SipHash
+    for strings. ONE definition — every exchange that co-locates a doc's
+    rows (totals, cut rows, the doc itself) keys on it; a divergent copy
+    would stop co-locating docs with their cut rows."""
     if np.issubdtype(ids.dtype, np.integer):
         return ids.astype(np.uint64)
     from ..functions.hashing import hash64
@@ -54,9 +55,10 @@ def _id_hash64(ids: np.ndarray) -> np.ndarray:
     return hash64(ids.astype(object))
 
 
-def _id_bucket(ids: np.ndarray, mod: int) -> np.ndarray:
-    """id column -> int64 bucket in [0, mod) (see _id_hash64)."""
-    return (_id_hash64(ids) % np.uint64(mod)).astype(np.int64)
+def _with_id_key(t: pa.Table, col: str) -> pa.Table:
+    """``t`` plus its ``_idk`` exchange key (``_id_hash64`` of ``col``)."""
+    key = _id_hash64(t[col].to_numpy(zero_copy_only=False))
+    return t.append_column("_idk", pa.array(key, pa.uint64()))
 
 
 
@@ -158,16 +160,7 @@ def dup_span_stats(
         # funnel every total row into bucket 0 (corpus-row-count skew on one
         # reducer); any bucket is correct since owner_reduce splits by tag.
         has = (counts > 0) if rnd == 0 else np.zeros(len(counts), dtype=bool)
-        if has.any():
-            idh = ids[has]
-            if np.issubdtype(idh.dtype, np.integer):
-                tot_key = idh.astype(np.uint64)
-            else:
-                from ..functions.hashing import hash64
-
-                tot_key = hash64(idh.astype(object))
-        else:
-            tot_key = np.empty(0, dtype=np.uint64)
+        tot_key = _id_hash64(ids[has])
         totals = pa.table(
             {
                 "w1": pa.array(tot_key, pa.uint64()),
@@ -244,15 +237,12 @@ def dup_span_stats(
     for extra in round_parts[1:]:
         partials = partials.union(extra)
 
-    def add_doc_bucket(t: pa.Table) -> pa.Table:
-        bkt = _id_bucket(t["d"].to_numpy(zero_copy_only=False), B)
-        return t.append_column("_bkt", pa.array(bkt, pa.int64()))
-
-    def doc_merge(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
+    def doc_merge(t: pa.Table | None) -> pa.Table:
+        if t is None or t.num_rows == 0:
+            d_type = t.schema.field("d").type if t is not None else pa.int64()
             return pa.table(
                 {
-                    id_col: pa.array([], pa.int64()),
+                    id_col: pa.array([], d_type),
                     "n_windows": pa.array([], pa.int64()),
                     "n_dup_windows": pa.array([], pa.int64()),
                     "dup_fraction": pa.array([], pa.float64()),
@@ -271,10 +261,11 @@ def dup_span_stats(
             frac = pc.round(frac, round_digits, round_mode="half_towards_infinity")
         return agg.append_column("dup_fraction", frac)
 
-    return (
-        partials.map_batches(add_doc_bucket, batch_format="pyarrow")
-        .groupby("_bkt")
-        .map_groups(doc_merge, batch_format="pyarrow")
+    return hash_exchange(
+        partials.map_batches(_with_id_key, fn_kwargs={"col": "d"}, batch_format="pyarrow"),
+        "_idk",
+        B,
+        doc_merge,
     )
 
 
@@ -329,7 +320,6 @@ def remove_dup_spans(
     cut_broadcast_budget: int = 5_000_000,
     recount_col: str | None = "n_chars",
     prefilter: bool = False,
-    dup_doc_broadcast_budget: int = 20_000_000,
     stats: ray.data.Dataset | None = None,
 ) -> ray.data.Dataset:
     """Surgical cross-document duplicate-span REMOVAL (Lee et al.): every
@@ -340,11 +330,10 @@ def remove_dup_spans(
     are never dropped (a fully-duplicated doc becomes empty text).
 
     Same window machinery and ``rounds`` memory bounding as
-    :func:`dup_span_stats`; the cut set (one (doc, window-start) row per
-    foreign-duplicated position) broadcasts READY under
-    ``cut_broadcast_budget``, else the rebuild falls back to ONE
-    payload exchange co-partitioning docs with their cuts by id hash —
-    text moves once either way.
+    :func:`dup_span_stats`; the cut set (merged cut ranges per doc)
+    broadcasts READY under ``cut_broadcast_budget``, else the rebuild
+    falls back to ONE payload hash exchange co-locating docs with their
+    cuts by id hash — text moves once either way.
 
     ``prefilter=True`` runs the (much cheaper) :func:`dup_span_stats` pass
     first and restricts the removal's window exchange to documents with at
@@ -353,19 +342,19 @@ def remove_dup_spans(
     window groups are singletons — they can neither receive cuts nor shift
     any multi-doc group's minimum (any doc sharing a window with another
     doc is itself in the dup set). Window volume, cut computation and the
-    interval merge then scale with DUPLICATED mass instead of corpus mass. Membership uses a 64-bit id-hash set broadcast (a
-    false positive merely emits a clean doc's position rows — no
-    correctness exposure); past ``dup_doc_broadcast_budget`` entries the
-    prefilter disables itself and the unfiltered limb runs (limb-equal by
-    the same argument, test-pinned).
+    interval merge then scale with DUPLICATED mass instead of corpus mass.
+    The restriction is a ``keep=True`` ``exchange.semi_filter`` of the
+    (id, text) source on the dup docs' ids, before windowing — a broadcast
+    filter under its budget, one exchange above it; exact on both limbs.
     """
-    from .exchange import default_shuffle_buckets, fetch_cached, hash_exchange
+    from .dedup_exact import _row_key
+    from .exchange import default_shuffle_buckets, fetch_cached, hash_exchange, semi_filter
 
     B = num_buckets or default_shuffle_buckets()
     if rounds < 1:
         raise ValueError("remove_dup_spans needs rounds >= 1")
 
-    dup_ref = None
+    slim_src = ds.select_columns([id_col, text_col])
     if prefilter:
         if stats is None:
             # triage flows that already ran dup_span_stats should pass it in
@@ -380,31 +369,24 @@ def remove_dup_spans(
                 num_buckets=num_buckets,
                 rounds=rounds,
             )
-        def dup_id_hashes(t: pa.Table) -> pa.Table:
-            # hash to uint64 REMOTELY: the driver collects 8-byte hashes,
-            # never the raw id strings (no driver funnel — at 20M urls the
-            # strings are ~1+ GB, the hashes ~160 MB)
-            sub = t.filter(pc.greater(t["n_dup_windows"], 0))
-            vals = sub[id_col].to_numpy(zero_copy_only=False)
-            return pa.table({"h": pa.array(_id_hash64(vals), pa.uint64())})
 
-        dup_docs = stats.map_batches(
-            dup_id_hashes, batch_format="pyarrow"
-        ).materialize()
-        if dup_docs.count() <= dup_doc_broadcast_budget:
-            hs = [
-                blk["h"].to_numpy()
-                for blk in ray.get(dup_docs.to_arrow_refs())
-                if blk.num_rows > 0
-            ]
-            dup_ref = ray.put(
-                np.sort(np.concatenate(hs)) if hs else np.empty(0, np.uint64)
-            )
+        def dup_doc_keys(t: pa.Table) -> pa.Table:
+            # hashed in the map tasks: the key set never carries id strings
+            k1, k2 = _row_key(t.filter(pc.greater(t["n_dup_windows"], 0)), [id_col])
+            return pa.table({"_k1": pa.array(k1, pa.uint64()), "_k2": pa.array(k2, pa.uint64())})
 
-    def _dup_mask(ids: np.ndarray, sorted_hashes: np.ndarray) -> np.ndarray:
-        from ..util import sorted_isin
-
-        return sorted_isin(_id_hash64(ids), sorted_hashes)
+        # drop CLEAN docs before windowing: n_dup_windows == 0 means every
+        # window of the doc occurs in no other document, so all its window
+        # groups are singletons — they can neither receive cuts nor shift
+        # any multi-doc group's minimum (any doc sharing a window with
+        # another is itself in the dup set). The exchange volume becomes
+        # duplicated mass, not corpus mass.
+        slim_src = semi_filter(
+            slim_src,
+            stats.map_batches(dup_doc_keys, batch_format="pyarrow"),
+            functools.partial(_row_key, cols=[id_col]),
+            keep=True,
+        )
 
     def window_rows(t: pa.Table, rnd: int = 0) -> pa.Table:
         texts = t[text_col].to_numpy(zero_copy_only=False).astype(object)
@@ -423,20 +405,6 @@ def remove_dup_spans(
             # w1 % B exchange bucketing
             mine = (w2 % np.uint64(rounds)) == np.uint64(rnd)
             w1, w2, doc_idx, within = w1[mine], w2[mine], doc_idx[mine], within[mine]
-        if dup_ref is not None:
-            # drop CLEAN docs' windows entirely: n_dup_windows == 0 means
-            # every window of the doc occurs in no other document, so all
-            # its window groups are singletons — they can neither receive
-            # cuts nor shift any multi-doc group's minimum (any doc sharing
-            # a window with another is itself in the dup set). The exchange
-            # volume becomes duplicated mass, not corpus mass.
-            sorted_hashes = fetch_cached(dup_ref)
-            doc_is_dup = _dup_mask(ids, sorted_hashes)
-            keep = doc_is_dup[doc_idx]
-            if not keep.all():
-                w1, w2, doc_idx, within = (
-                    w1[keep], w2[keep], doc_idx[keep], within[keep]
-                )
         return pa.table(
             {
                 "w1": pa.array(w1, pa.uint64()),
@@ -462,7 +430,6 @@ def remove_dup_spans(
             }
         )
 
-    slim_src = ds.select_columns([id_col, text_col])
     mats = [
         hash_exchange(
             slim_src.map_batches(
@@ -489,12 +456,6 @@ def remove_dup_spans(
     # merging each doc's [j, j+k) windows into maximal half-open ranges
     # collapses an exactly-duplicated doc to ONE row, after which the
     # broadcast limb almost always applies
-    from ..functions.hashing import hash64
-
-    def key_by_doc(t: pa.Table) -> pa.Table:
-        kb = _id_bucket(t["d"].to_numpy(zero_copy_only=False), B)
-        return t.append_column("_db", pa.array(kb, pa.int64()))
-
     def merge_intervals(t: pa.Table | None) -> pa.Table:
         if t is None or t.num_rows == 0:
             d_type = t.schema.field("d").type if t is not None else pa.int64()
@@ -527,7 +488,10 @@ def remove_dup_spans(
         )
 
     cuts = hash_exchange(
-        cuts.map_batches(key_by_doc, batch_format="pyarrow"), "_db", B, merge_intervals
+        cuts.map_batches(_with_id_key, fn_kwargs={"col": "d"}, batch_format="pyarrow"),
+        "_idk",
+        B,
+        merge_intervals,
     ).materialize()
     n_cuts = cuts.count()
 
@@ -573,41 +537,33 @@ def remove_dup_spans(
 
         return ds.map_batches(rebuild, batch_format="pyarrow")
 
-    # payload-exchange fallback: co-partition docs with their cut RANGES by
-    # id hash — the doc payload moves through exactly one exchange
-    def tag_docs(t: pa.Table) -> pa.Table:
-        bkt = _id_bucket(t[id_col].to_numpy(zero_copy_only=False), B)
-        return t.append_column("_bkt", pa.array(bkt, pa.int64()))
-
+    # payload-exchange fallback: co-locate docs with their cut RANGES by id
+    # hash — the doc payload moves through exactly one exchange
     doc_schema = ds.take_batch(1, batch_format="pyarrow").schema
-    doc_fields = [(f.name, f.type) for f in doc_schema]
+    tag_cols = ["_idk", "_cut_s", "_cut_e", "_is_cut"]
 
     def pad_docs(t: pa.Table) -> pa.Table:
-        t = tag_docs(t)
         return (
-            t.append_column("_cut_s", pa.nulls(t.num_rows, pa.int64()))
+            _with_id_key(t, id_col)
+            .append_column("_cut_s", pa.nulls(t.num_rows, pa.int64()))
             .append_column("_cut_e", pa.nulls(t.num_rows, pa.int64()))
             .append_column("_is_cut", pa.array(np.zeros(t.num_rows, dtype=np.int8)))
         )
 
     def pad_cuts(t: pa.Table) -> pa.Table:
-        bkt = _id_bucket(t["d"].to_numpy(zero_copy_only=False), B)
-        cols = {}
-        for name, typ in doc_fields:
-            if name == id_col:
-                cols[name] = t["d"].cast(typ)
-            else:
-                cols[name] = pa.nulls(t.num_rows, typ)
-        cols["_bkt"] = pa.array(bkt, pa.int64())
+        cols = {
+            f.name: t["d"].cast(f.type) if f.name == id_col else pa.nulls(t.num_rows, f.type)
+            for f in doc_schema
+        }
+        cols["_idk"] = pa.array(_id_hash64(t["d"].to_numpy(zero_copy_only=False)), pa.uint64())
         cols["_cut_s"] = t["s"].cast(pa.int64())
         cols["_cut_e"] = t["e"].cast(pa.int64())
         cols["_is_cut"] = pa.array(np.ones(t.num_rows, dtype=np.int8))
         return pa.table(cols)
 
-    docs_tagged = ds.map_batches(pad_docs, batch_format="pyarrow")
-    cuts_tagged = cuts.map_batches(pad_cuts, batch_format="pyarrow")
-
-    def group_rebuild(t: pa.Table) -> pa.Table:
+    def group_rebuild(t: pa.Table | None) -> pa.Table:
+        if t is None:  # unreachable: the cut set is non-empty here
+            t = pad_docs(doc_schema.empty_table())
         is_cut = pc.equal(t["_is_cut"], 1)
         docs_t = t.filter(pc.invert(is_cut))
         cuts_t = t.filter(is_cut)
@@ -618,10 +574,9 @@ def remove_dup_spans(
             d: (g["s"].to_numpy(), g["e"].to_numpy())
             for d, g in dfc.groupby("d", sort=False)
         }
-        base_cols = [
-            c for c in docs_t.column_names if c not in ("_bkt", "_cut_s", "_cut_e", "_is_cut")
-        ]
-        return rebuild_batch(docs_t.select(base_cols), lookup)
+        return rebuild_batch(docs_t.drop_columns(tag_cols), lookup)
 
-    unioned = docs_tagged.union(cuts_tagged)
-    return unioned.groupby("_bkt").map_groups(group_rebuild, batch_format="pyarrow")
+    unioned = ds.map_batches(pad_docs, batch_format="pyarrow").union(
+        cuts.map_batches(pad_cuts, batch_format="pyarrow")
+    )
+    return hash_exchange(unioned, "_idk", B, group_rebuild)

@@ -10,11 +10,17 @@ exchange at 1M docs regardless of CPU count (the 2.49 hash-shuffle strategy
 fan-out — map-task grouping and reduce width — is chosen here, in one place.
 
 Also here: the small block helpers every exchange consumer needs
-(``nonempty_block_refs``, ``as_arrow_block``) and the per-worker broadcast
-cache (``fetch_cached``).
+(``nonempty_block_refs``, ``as_arrow_block``), the per-worker broadcast
+cache (``fetch_cached``), and the engine's one membership gate,
+``semi_filter``: every "drop (or keep) the rows named by a small key set"
+step — exact-dedup losers, cross-corpus contamination, non-representative
+cluster members, the dup-span prefilter — goes through it, and its
+broadcast-or-exchange choice is made here under ``DROP_BROADCAST_BUDGET``.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import pyarrow as pa
@@ -23,6 +29,10 @@ import ray.data
 
 EXCHANGE_ROWS_PER_REDUCER = 4096
 EXCHANGE_BYTES_PER_REDUCER = 4 << 20
+# key rows ``semi_filter`` broadcasts (80 MB of sorted uint64 pairs, x2
+# with a confirm key); above it the payload meets the keys in an exchange.
+# Read at call time, so a test can force the exchange limb by patching it.
+DROP_BROADCAST_BUDGET = 5_000_000
 
 
 def as_arrow_block(b):
@@ -189,3 +199,188 @@ def fetch_cached(ref, build=None):
             _OBJ_CACHE.pop(next(iter(_OBJ_CACHE)))
         val = _OBJ_CACHE.setdefault(key, build(obj) if build is not None else obj)
     return val
+
+
+def _unique_pairs(q1: np.ndarray, q2: np.ndarray):
+    """SORTED-unique (h1, h2) pairs — lexsort by (h1, h2) then keep-first.
+
+    The sort order (h1 major, h2 minor) is the contract ``_pair_lookup_pos``
+    searchsorts against; every key-set build goes through here so a change
+    to the order happens once."""
+    o = np.lexsort((q2, q1))
+    q1, q2 = q1[o], q2[o]
+    if len(q1):
+        keep = np.empty(len(q1), dtype=bool)
+        keep[0] = True
+        keep[1:] = (q1[1:] != q1[:-1]) | (q2[1:] != q2[:-1])
+        q1, q2 = q1[keep], q2[keep]
+    return q1, q2
+
+
+def _pair_lookup_pos(h1s: np.ndarray, h2s: np.ndarray, q1: np.ndarray, q2: np.ndarray):
+    """(pos, found) for query pairs against h1-SORTED index pairs.
+
+    Scans equal-h1 runs for the matching h2 (birthday-rare, but a leftmost-
+    only probe silently loses the later-sorted id of an h1 collision — at
+    10^12 docs a 64-bit-only lookup drops real members/endpoints). One
+    searchsorted only: a run is detected from the NEXT index slot also
+    matching h1 (a second side="right" pass measured 2x the probe cost)."""
+    n = len(h1s)
+    if n == 0 or len(q1) == 0:
+        return np.zeros(len(q1), dtype=np.int64), np.zeros(len(q1), dtype=bool)
+    left = np.searchsorted(h1s, q1, side="left")
+    pos = np.minimum(left, n - 1)
+    h1_hit = h1s[pos] == q1
+    found = h1_hit & (h2s[pos] == q2)
+    nxt = np.minimum(pos + 1, n - 1)
+    in_run = h1_hit & ~found & (nxt > pos) & (h1s[nxt] == q1)
+    for i in np.nonzero(in_run)[0]:  # equal-h1 runs: birthday-rare
+        j = left[i] + 1
+        while j < n and h1s[j] == q1[i]:
+            if h2s[j] == q2[i]:
+                pos[i] = j
+                found[i] = True
+                break
+            j += 1
+    return pos, found
+
+
+_KEY_COLS = ("_k1", "_k2")
+_CONFIRM_COLS = ("_c1", "_c2")
+_SIDE = "_side"
+
+
+def _key_index(t: pa.Table, confirm: bool) -> tuple:
+    """Sorted-unique lookup arrays of a key table: (k1, k2), plus the
+    (key, confirm) pairs folded into one 128-bit pair when ``confirm``."""
+    from ..functions.hashing import combine_hash64
+
+    k1, k2 = (t[c].to_numpy() for c in _KEY_COLS)
+    index = _unique_pairs(k1, k2)
+    if confirm:
+        c1, c2 = (t[c].to_numpy() for c in _CONFIRM_COLS)
+        index += _unique_pairs(combine_hash64(k1, c1), combine_hash64(k2, c2))
+    return index
+
+
+@ray.remote
+def _build_key_index(confirm: bool, *blocks) -> tuple:
+    cols = [*_KEY_COLS, *(_CONFIRM_COLS if confirm else ())]
+    return _key_index(pa.concat_tables([as_arrow_block(b).select(cols) for b in blocks]), confirm)
+
+
+def _members(index: tuple, k1, k2, rows: pa.Table, confirm_fn) -> np.ndarray:
+    """bool[n]: which ``rows`` (key pairs ``k1, k2``) are in the key set.
+    A key hit is confirmed by ``confirm_fn`` on the hit rows only."""
+    from ..functions.hashing import combine_hash64
+
+    hit = _pair_lookup_pos(index[0], index[1], k1, k2)[1]
+    if confirm_fn is not None and hit.any():
+        idx = np.nonzero(hit)[0]
+        c1, c2 = confirm_fn(rows.take(pa.array(idx, pa.int64())))
+        hit[idx] = _pair_lookup_pos(
+            index[2], index[3], combine_hash64(k1[idx], c1), combine_hash64(k2[idx], c2)
+        )[1]
+    return hit
+
+
+def semi_filter_gate(keys: ray.data.Dataset, key_fn, keep: bool = False, confirm_fn=None):
+    """``semi_filter`` with its key set prepared once: returns ``gate(ds)``,
+    which filters any dataset ``key_fn`` applies to. A caller that filters
+    several datasets against one key set (the flagship's slim and full
+    chains) builds the sorted index, or materializes the keys, only once."""
+    keys = keys.materialize()
+    n_keys = keys.count()
+    if n_keys == 0:
+        if not keep:
+            return lambda ds: ds
+        return lambda ds: ds.map_batches(lambda t: t.slice(0, 0), batch_format="pyarrow")
+    if n_keys > DROP_BROADCAST_BUDGET:
+        return functools.partial(
+            _exchange_semi_filter, keys=keys, key_fn=key_fn, keep=keep, confirm_fn=confirm_fn
+        )
+    ref = _build_key_index.remote(confirm_fn is not None, *nonempty_block_refs(keys))
+
+    def broadcast_filter(t: pa.Table) -> pa.Table:
+        k1, k2 = key_fn(t)
+        hit = _members(fetch_cached(ref), k1, k2, t, confirm_fn)
+        return t.filter(pa.array(hit if keep else ~hit))
+
+    return lambda ds: ds.map_batches(broadcast_filter, batch_format="pyarrow")
+
+
+def semi_filter(
+    ds: ray.data.Dataset, keys: ray.data.Dataset, key_fn, keep: bool = False, confirm_fn=None
+) -> ray.data.Dataset:
+    """The rows of ``ds`` whose 128-bit key is in ``keys`` (``keep=True``, a
+    semi-join) or is not (``keep=False``, an anti-join); the output keeps
+    ``ds``'s schema.
+
+    ``keys`` carries uint64 ``_k1, _k2`` columns (duplicates allowed) and
+    ``key_fn(batch) -> (k1, k2)`` computes each payload row's pair. With
+    ``confirm_fn`` the keys also carry ``_c1, _c2``, and a key hit counts
+    only if ``confirm_fn(hit_rows) -> (c1, c2)`` equals the ``_c1, _c2`` of
+    a key row with that same key — the costly half of a row's identity,
+    computed for the hits alone.
+
+    Up to ``DROP_BROADCAST_BUDGET`` key rows, one task sorts the pairs and
+    the sorted arrays are broadcast to a streaming Arrow filter. Above it,
+    the payload rows and the key rows meet in one side-tagged
+    ``hash_exchange`` on ``_k1`` and each bucket filters locally: the
+    payload moves once. Both limbs return the same rows (the exchange limb
+    in bucket order), and neither collects the key set on the driver.
+    ``semi_filter_gate`` prepares the key set once for several datasets."""
+    return semi_filter_gate(keys, key_fn, keep, confirm_fn)(ds)
+
+
+def _exchange_semi_filter(
+    ds: ray.data.Dataset, keys: ray.data.Dataset, key_fn, keep: bool, confirm_fn
+) -> ray.data.Dataset:
+    """``semi_filter``'s over-budget limb (see there)."""
+    confirm = confirm_fn is not None
+    tag_cols = [*_KEY_COLS, *(_CONFIRM_COLS if confirm else ()), _SIDE]
+
+    def tag_rows(t: pa.Table) -> pa.Table:
+        k1, k2 = key_fn(t)
+        cols = [pa.array(k1, pa.uint64()), pa.array(k2, pa.uint64())]
+        if confirm:
+            cols += [pa.nulls(t.num_rows, pa.uint64())] * 2
+        cols.append(pa.array(np.ones(t.num_rows, np.int8)))
+        for name, col in zip(tag_cols, cols):
+            t = t.append_column(name, col)
+        return t
+
+    # a Ray map runs on no zero-row block: the schema is None exactly when
+    # the payload has no rows
+    tagged = ds.map_batches(tag_rows, batch_format="pyarrow").materialize()
+    schema = tagged.schema()
+    if schema is None:
+        return ds  # no payload rows: nothing to keep or drop
+    schema = schema.base_schema  # tag_rows returns Arrow tables
+    payload_cols = schema.names[: -len(tag_cols)]
+
+    def pad_keys(t: pa.Table) -> pa.Table:
+        # the exchange concatenates both sides' slices: key rows take the
+        # payload schema, payload columns as typed nulls
+        cols = [pa.nulls(t.num_rows, schema.field(c).type) for c in payload_cols]
+        cols += [t[c] for c in tag_cols[:-1]]
+        cols.append(pa.array(np.zeros(t.num_rows, np.int8)))
+        return pa.Table.from_arrays(cols, schema=schema)
+
+    def bucket_filter(t: pa.Table | None) -> pa.Table:
+        if t is None:
+            return schema.empty_table().select(payload_cols)
+        side = t[_SIDE].to_numpy()
+        rows = t.filter(pa.array(side == 1))
+        index = _key_index(t.filter(pa.array(side == 0)), confirm)
+        hit = _members(
+            index,
+            rows["_k1"].to_numpy(),
+            rows["_k2"].to_numpy(),
+            rows.select(payload_cols),
+            confirm_fn,
+        )
+        return rows.filter(pa.array(hit if keep else ~hit)).select(payload_cols)
+
+    both = keys.map_batches(pad_keys, batch_format="pyarrow").union(tagged)
+    return hash_exchange(both, "_k1", default_shuffle_buckets(), bucket_filter)

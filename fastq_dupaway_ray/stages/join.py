@@ -265,7 +265,6 @@ def anti_join(
     right: ray.data.Dataset,
     key: str,
     broadcast_budget: int = 2_000_000,
-    num_partitions: int | None = None,
 ) -> ray.data.Dataset:
     """Rows of ``left`` whose ``key`` never occurs in ``right`` — J1's
     ``unmatch_reads`` residue materialized as rows instead of a count
@@ -277,8 +276,7 @@ def anti_join(
     one side-tagged task hash-exchange co-locates the left payload with the
     right's deduped keys by key hash; each bucket drops left rows whose key
     has a marker neighbour — the left payload moves exactly once and no
-    aggregator actors pin CPUs (``num_partitions`` is accepted for API
-    compatibility; the exchange sizes its own fan-out).
+    aggregator actors pin CPUs.
     """
     import numpy as np
     import ray as _ray

@@ -259,25 +259,14 @@ def _id_hash_pair(vals: np.ndarray):
     return h1, h2
 
 
+def _column_id_pair(t: pa.Table, col: str):
+    """``_id_hash_pair`` of one column of a batch (a ``semi_filter`` key)."""
+    return _id_hash_pair(t[col].to_numpy(zero_copy_only=False).astype(object))
+
+
 @ray.remote
 def _hash_pair_shard(arr: pa.Array):
     return _id_hash_pair(arr.to_numpy(zero_copy_only=False).astype(object))
-
-
-def _unique_pairs(q1: np.ndarray, q2: np.ndarray):
-    """SORTED-unique (h1, h2) pairs — lexsort by (h1, h2) then keep-first.
-
-    The sort order (h1 major, h2 minor) is the contract
-    ``_id_member_mask_pre`` searchsorts against; every endpoint-set merge in
-    this module goes through here so a change to the order happens once."""
-    o = np.lexsort((q2, q1))
-    q1, q2 = q1[o], q2[o]
-    if len(q1):
-        keep = np.empty(len(q1), dtype=bool)
-        keep[0] = True
-        keep[1:] = (q1[1:] != q1[:-1]) | (q2[1:] != q2[:-1])
-        q1, q2 = q1[keep], q2[keep]
-    return q1, q2
 
 
 @ray.remote
@@ -287,7 +276,7 @@ def _edge_endpoint_pairs(block):
     block = exchange.as_arrow_block(block)  # internal refs can be pandas blocks
     q1 = np.concatenate([block["ah1"].to_numpy(), block["bh1"].to_numpy()])
     q2 = np.concatenate([block["ah2"].to_numpy(), block["bh2"].to_numpy()])
-    return _unique_pairs(q1, q2)
+    return exchange._unique_pairs(q1, q2)
 
 
 def _id_hash_pair_arrow(arr, chunk: int = 262_144):
@@ -310,49 +299,6 @@ def _id_hash_pair_arrow(arr, chunk: int = 262_144):
         np.concatenate([p[0] for p in parts]),
         np.concatenate([p[1] for p in parts]),
     )
-
-
-def _pair_lookup_pos(h1s: np.ndarray, h2s: np.ndarray, q1: np.ndarray, q2: np.ndarray):
-    """(pos, found) for query pairs against h1-SORTED index pairs.
-
-    Scans equal-h1 runs for the matching h2 (birthday-rare, but a leftmost-
-    only probe silently loses the later-sorted id of an h1 collision — at
-    10^12 docs a 64-bit-only lookup drops real members/endpoints). One
-    searchsorted only: a run is detected from the NEXT index slot also
-    matching h1 (a second side="right" pass measured 2x the probe cost)."""
-    n = len(h1s)
-    if n == 0 or len(q1) == 0:
-        return np.zeros(len(q1), dtype=np.int64), np.zeros(len(q1), dtype=bool)
-    left = np.searchsorted(h1s, q1, side="left")
-    pos = np.minimum(left, n - 1)
-    h1_hit = h1s[pos] == q1
-    found = h1_hit & (h2s[pos] == q2)
-    nxt = np.minimum(pos + 1, n - 1)
-    in_run = h1_hit & ~found & (nxt > pos) & (h1s[nxt] == q1)
-    for i in np.nonzero(in_run)[0]:  # equal-h1 runs: birthday-rare
-        j = left[i] + 1
-        while j < n and h1s[j] == q1[i]:
-            if h2s[j] == q2[i]:
-                pos[i] = j
-                found[i] = True
-                break
-            j += 1
-    return pos, found
-
-
-def _id_member_mask_pre(index, q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
-    """Membership for PRE-HASHED query pairs (lets callers reuse the hashes)."""
-    h1s, h2s = index
-    return _pair_lookup_pos(h1s, h2s, q1, q2)[1]
-
-
-def _id_member_mask(index, ids: np.ndarray) -> np.ndarray:
-    """bool[n]: which ``ids`` are in the _build_id_index set (exact up to the
-    2^-128 double-hash collision bound; rare equal-h1 runs scanned exactly)."""
-    if len(ids) == 0:
-        return np.zeros(0, dtype=bool)
-    q1, q2 = _id_hash_pair(ids)
-    return _id_member_mask_pre(index, q1, q2)
 
 
 # ---- sharded endpoint-text index (numeric spine) -------------------------
@@ -440,7 +386,7 @@ def _shard_slot_keys(shards, q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
         if len(h1s) == 0:
             continue
         m = sid == s
-        pos, found = _pair_lookup_pos(h1s, h2s, q1[m], q2[m])
+        pos, found = exchange._pair_lookup_pos(h1s, h2s, q1[m], q2[m])
         key[m] = np.where(found, s * _SLOT + pos, -1)
     return key
 
@@ -711,7 +657,7 @@ def build_endpoint_index(
     ep_parts = ray.get(
         [_edge_endpoint_pairs.remote(r) for r in exchange.nonempty_block_refs(edges)]
     )
-    eh1, eh2 = _unique_pairs(
+    eh1, eh2 = exchange._unique_pairs(
         np.concatenate([p[0] for p in ep_parts] or [np.empty(0, np.uint64)]),
         np.concatenate([p[1] for p in ep_parts] or [np.empty(0, np.uint64)]),
     )
@@ -736,7 +682,7 @@ def build_endpoint_index(
         eps = exchange.fetch_cached(ep_ref)
         ids = t[id_col].to_numpy(zero_copy_only=False).astype(object)
         q1, q2 = _id_hash_pair(ids)
-        mask = _id_member_mask_pre(eps, q1, q2)
+        mask = exchange._pair_lookup_pos(*eps, q1, q2)[1]
         out = t.select(pick_cols).filter(pa.array(mask))
         texts = out[text_col].to_numpy(zero_copy_only=False).astype(object)
         texts = np.array([tx if isinstance(tx, str) else "" for tx in texts], dtype=object)

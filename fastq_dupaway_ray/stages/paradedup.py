@@ -206,7 +206,7 @@ def paragraph_dedup(
     )
 
     def rebuild(batch: pa.Table) -> pa.Table:
-        from .minhash import _pair_lookup_pos
+        from .exchange import _pair_lookup_pos
 
         flat, doc_idx, pos, counts = _flatten_paragraphs(batch[text_col], sep)
         d1, d2 = _doc_identity128(batch, id_cols)

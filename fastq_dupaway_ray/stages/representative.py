@@ -15,25 +15,26 @@ shuffle. The label table is the set of *clustered members only* (the
 duplicates — small relative to the corpus), so it is broadcast via ``ray.put``
 and applied inside streaming ``map_batches`` passes:
 
-1. one slim pass over (id, order) columns attaches labels -> bucketed
-   vectorized representative pick -> clusters table;
-2. the non-representative member ids (the drop set) are broadcast and the full
-   payload streams through a single filter pass — no join, no payload shuffle.
-
-Scale note: if the drop set outgrew driver/worker memory (extreme dup rates at
-10^12 docs), swap step 2 for a bucket-wise semi-join of ids with the payload
-re-read per kept bucket; the broadcast form is the right call whenever the
-drop list fits in a few GB, which covers typical web dedup ratios at any
-corpus size a single job partition handles.
+1. one slim pass over (id, order) columns attaches labels -> vectorized
+   representative pick (on the driver up to ``DRIVER_PICK_LABELS`` labels,
+   else per bucket of a hash exchange on the label) -> clusters table;
+2. the non-representative member ids (the drop set) leave the payload
+   through ``exchange.semi_filter``: a broadcast filter pass (no join, no
+   payload shuffle) under its budget, else one payload-with-keys exchange.
 """
 
 from __future__ import annotations
+
+import functools
 
 import pandas as pd
 import ray
 import ray.data
 
 DEFAULT_ORDER = ("warc_ts", "url")
+# label rows the representative pick runs over on the driver; above it the
+# pick runs per bucket of a hash exchange on the label
+DRIVER_PICK_LABELS = 2_000_000
 
 
 def _members_from_index(ltab, member_attrs, id_col: str, order_cols) -> "object | None":
@@ -89,8 +90,8 @@ def _apply_labels_numeric(
     import pyarrow.compute as pc
     import ray as _ray
 
-    from .exchange import fetch_cached
-    from .minhash import _id_member_mask_pre, _shard_gather, _shard_slot_keys
+    from .exchange import semi_filter
+    from .minhash import _column_id_pair, _shard_gather, _shard_slot_keys
 
     order_cols = [c for c in order_cols]
     ltab = pa.concat_tables(
@@ -179,21 +180,13 @@ def _apply_labels_numeric(
     drop_sel = ~new_run
     if counters is not None:
         counters["near_drops"] = int(drop_sel.sum())
-    dh1 = mt["_nh1"].to_numpy()[drop_sel]
-    dh2 = mt["_nh2"].to_numpy()[drop_sel]
-    dorder = np.lexsort((dh2, dh1))
-    drop_ref = ray.put((dh1[dorder], dh2[dorder]))
-
-    from .minhash import _id_hash_pair
-
-    def keep_filter(t: pa.Table) -> pa.Table:
-        drops = fetch_cached(drop_ref)
-        ids = t[id_col].to_numpy(zero_copy_only=False).astype(object)
-        q1, q2 = _id_hash_pair(ids)
-        return t.filter(pa.array(~_id_member_mask_pre(drops, q1, q2)))
-
-    kept = (payload if payload is not None else pages).map_batches(
-        keep_filter, batch_format="pyarrow"
+    keys = ray.data.from_arrow(
+        pa.table({"_k1": mt["_nh1"], "_k2": mt["_nh2"]}).filter(pa.array(drop_sel))
+    )
+    kept = semi_filter(
+        payload if payload is not None else pages,
+        keys,
+        functools.partial(_column_id_pair, col=id_col),
     )
     return kept, clusters
 
@@ -262,8 +255,8 @@ def apply_cluster_labels(
             counters["near_drops"] = 0
         return (payload if payload is not None else pages), ray.data.from_pandas(empty)
 
-    from .exchange import fetch_cached
-    from .minhash import _id_hash_pair, _id_hash_pair_arrow
+    from .exchange import fetch_cached, semi_filter
+    from .minhash import _column_id_pair, _id_hash_pair, _id_hash_pair_arrow
 
     members_tbl = None
     if member_attrs is not None:
@@ -291,7 +284,7 @@ def apply_cluster_labels(
             # Arrow-native: only the id column is lifted to Python objects (the
             # hash needs str), rows move via zero-copy take — a pandas batch
             # format here converted every slim column of the full corpus
-            from .minhash import _pair_lookup_pos
+            from .exchange import _pair_lookup_pos
 
             h1s, h2s, labels_arr, order = fetch_cached(label_ref)
             ids = t[id_col].to_numpy(zero_copy_only=False).astype(object)
@@ -347,23 +340,21 @@ def apply_cluster_labels(
             }
         )
 
-    def pick_reps(df: pd.DataFrame) -> pd.DataFrame:
-        out = pick_reps_arrow(pa.Table.from_pandas(df, preserve_index=False))
-        return out.to_pandas()
-
-    # the members table is at most as large as the label table, which ALREADY
-    # sits on the driver (to_pandas above) — so when labels fit the driver
-    # budget, one vectorized Arrow pass there replaces a distributed
-    # hash-shuffle whose aggregator-pool spawn is a multi-second FIXED cost
-    # that grows with cluster CPUs (measured 4.6 s for 57k rows at 32 CPUs —
-    # pure anti-scaling overhead on the small side). Above the budget, the
-    # two-level bucketed shuffle is the scale path.
-    if members_tbl is not None:
-        ctab = pick_reps_arrow(members_tbl)
-        clusters = ray.data.from_arrow(
+    def cluster_table(tabs) -> ray.data.Dataset:
+        ctab = pick_reps_arrow(pa.concat_tables(tabs))
+        return ray.data.from_arrow(
             [ctab.slice(o, 500_000) for o in range(0, max(ctab.num_rows, 1), 500_000)]
         )
-    elif n_labels <= 2_000_000:
+
+    # the members table is at most as large as the label table, which ALREADY
+    # sits on the driver — so when labels fit ``DRIVER_PICK_LABELS``, one
+    # vectorized Arrow pass there replaces a distributed exchange whose
+    # fixed cost grows with cluster CPUs (measured 4.6 s for 57k rows at 32
+    # CPUs on the former aggregator-actor shuffle). Above it, the pick runs
+    # per bucket of a hash exchange on the label hash.
+    if members_tbl is not None:
+        clusters = cluster_table([members_tbl])
+    elif n_labels <= DRIVER_PICK_LABELS:
         # lazy upstream chains can emit schema-less EMPTY blocks (a map task
         # that received no input bundle) — drop them before concat, exactly
         # like the verify assemble does
@@ -381,67 +372,44 @@ def apply_cluster_labels(
                 }
             )
             return (payload if payload is not None else pages), ray.data.from_pandas(empty)
-        ctab = pick_reps_arrow(pa.concat_tables(mtabs))
-        clusters = ray.data.from_arrow(
-            [ctab.slice(o, 500_000) for o in range(0, max(ctab.num_rows, 1), 500_000)]
-        )
+        clusters = cluster_table(mtabs)
     else:
-        from .exchange import default_shuffle_buckets
+        from ..functions.hashing import hash64
+        from .exchange import default_shuffle_buckets, hash_exchange
 
-        B = default_shuffle_buckets()
+        def label_hash(t: pa.Table) -> pa.Table:
+            lab = t["label"].to_numpy(zero_copy_only=False).astype(object)
+            return t.append_column("_lh", pa.array(hash64(lab), pa.uint64()))
 
-        def bucketize(df: pd.DataFrame) -> pd.DataFrame:
-            df = df.copy()
-            df["_bkt"] = pd.util.hash_array(df["label"].to_numpy()) % B
-            return df
+        def pick_bucket(t: pa.Table | None) -> pa.Table:
+            if t is None:
+                return pa.table(
+                    {
+                        "cluster_id": pa.array([], pa.string()),
+                        "member": pa.array([], pa.string()),
+                        "is_representative": pa.array([], pa.bool_()),
+                    }
+                )
+            return pick_reps_arrow(t.drop_columns(["_lh"]))
 
-        clusters = (
-            members.map_batches(bucketize, batch_format="pandas")
-            .groupby("_bkt")
-            .map_groups(
-                lambda d: pick_reps(d.drop(columns=["_bkt"])), batch_format="pandas"
-            )
-            .materialize()
-        )
-        # pandas map_groups can emit schema-less EMPTY blocks — drop them
-        # before concat, like the other limbs (only the drop-set derivation
-        # needs ctab; an all-empty result means nothing to drop)
-        _ctabs = [t for t in ray.get(clusters.to_arrow_refs()) if t.num_rows > 0]
-        ctab = (
-            pa.concat_tables(_ctabs)
-            if _ctabs
-            else pa.table(
-                {
-                    "cluster_id": pa.array([], pa.string()),
-                    "member": pa.array([], pa.string()),
-                    "is_representative": pa.array([], pa.bool_()),
-                }
-            )
-        )
+        clusters = hash_exchange(
+            members.map_batches(label_hash, batch_format="pyarrow"),
+            "_lh",
+            default_shuffle_buckets(),
+            pick_bucket,
+        ).materialize()
 
-    from .minhash import _id_member_mask
+    def drop_keys(t: pa.Table) -> pa.Table:
+        # the non-representative members: the drop set, as id hash pairs
+        h1, h2 = _column_id_pair(t.filter(pc.invert(t["is_representative"])), "member")
+        return pa.table({"_k1": pa.array(h1, pa.uint64()), "_k2": pa.array(h2, pa.uint64())})
 
-    # ready (sorted h1, h2) membership index — member-id hashing sharded
-    # across remote tasks (zero-copy Arrow in); the driver only argsorts
-    # uint64s and workers fetch the ready arrays, no per-worker build
-    _drops_arr = ctab.filter(pc.invert(ctab["is_representative"].combine_chunks()))[
-        "member"
-    ]
+    keys = clusters.map_batches(drop_keys, batch_format="pyarrow").materialize()
     if counters is not None:
-        counters["near_drops"] = len(_drops_arr)
-    _dh1, _dh2 = _id_hash_pair_arrow(_drops_arr)
-    _dorder = np.argsort(_dh1, kind="stable")
-    drop_ref = ray.put((_dh1[_dorder], _dh2[_dorder]))
-
-    def keep_filter(t: pa.Table) -> pa.Table:
-        # Arrow-native: the heavy html/text payload stays zero-copy — a
-        # pandas batch format here converts every binary column per batch,
-        # which dominated the stage wall time and killed its scaling
-        drops = fetch_cached(drop_ref)
-        ids = t[id_col].to_numpy(zero_copy_only=False).astype(object)
-        return t.filter(pa.array(~_id_member_mask(drops, ids)))
-
-    kept = (payload if payload is not None else pages).map_batches(
-        keep_filter, batch_format="pyarrow"
+        counters["near_drops"] = keys.count()
+    kept = semi_filter(
+        payload if payload is not None else pages,
+        keys,
+        functools.partial(_column_id_pair, col=id_col),
     )
     return kept, clusters

@@ -6,6 +6,7 @@ import pytest
 import ray.data as rd
 
 from fastq_dupaway_ray.queries import NEAR_MARKER, _near_text
+from fastq_dupaway_ray.stages import exchange
 from fastq_dupaway_ray.stages.crossdedup import cross_dedup_exact, cross_dedup_minhash
 
 
@@ -32,10 +33,10 @@ def _exact_corpora():
     return a, b
 
 
-@pytest.mark.parametrize(
-    "kwargs", [{}, {"drop_broadcast_budget": 0}], ids=["broadcast", "shuffle"]
-)
-def test_cross_dedup_exact_matches_anti_membership(ray_session, kwargs):
+@pytest.mark.parametrize("budget", [None, 0], ids=["broadcast", "shuffle"])
+def test_cross_dedup_exact_matches_anti_membership(ray_session, monkeypatch, budget):
+    if budget is not None:
+        monkeypatch.setattr(exchange, "DROP_BROADCAST_BUDGET", budget)
     a, b = _exact_corpora()
     counters = {}
     out = (
@@ -43,7 +44,6 @@ def test_cross_dedup_exact_matches_anti_membership(ray_session, kwargs):
             rd.from_pandas(b).repartition(5),
             rd.from_pandas(a).repartition(4),
             counters=counters,
-            **kwargs,
         )
         .to_pandas()
         .sort_values("url")
@@ -106,15 +106,14 @@ def test_cross_dedup_minhash_presigned_reference_matches_direct(ray_session, tmp
     assert set(b.url) - set(incremental.url) == exp_drop
 
 
-@pytest.mark.parametrize(
-    "kwargs", [{}, {"drop_broadcast_budget": 0}], ids=["broadcast", "shuffle"]
-)
-def test_cross_dedup_minhash_drops_planted_contamination(ray_session, kwargs):
+@pytest.mark.parametrize("budget", [None, 0], ids=["broadcast", "shuffle"])
+def test_cross_dedup_minhash_drops_planted_contamination(ray_session, monkeypatch, budget):
+    if budget is not None:
+        monkeypatch.setattr(exchange, "DROP_BROADCAST_BUDGET", budget)
     a, b = _near_corpora()
     out = cross_dedup_minhash(
         rd.from_pandas(b).repartition(4),
         rd.from_pandas(a).repartition(4),
-        **kwargs,
     ).to_pandas()
     exp_drop = {u for u in b.url if u[0] in "em"}
     assert set(b.url) - set(out.url) == exp_drop

@@ -135,23 +135,21 @@ def test_exact_full_tie_falls_back_to_value_compare(ray_session):
 
 
 def test_exact_drop_ids_confirms_content_on_hit(ray_session):
-    """exact_drop_ids + the flagship drop filter: drop entries carry the
+    """exact_drop_ids + the flagship's exact gate: drop entries carry the
     content key, so an order-tuple look-alike with different text survives."""
-    from fastq_dupaway_ray.pipelines.flagship import _drop_filter_fn
-    from fastq_dupaway_ray.stages.dedup_exact import exact_drop_ids
+    from fastq_dupaway_ray.stages.dedup_exact import exact_drop_ids, exact_gate
 
     df = _dup_url_frame()
     ds_dup = rd.from_pandas(df)
     drops = exact_drop_ids(ds_dup, key_cols=("text",)).materialize()
     dpd = drops.to_pandas()
     assert len(dpd) == 2 and not dpd["_ambig"].any()
-    flt = _drop_filter_fn(drops)
-    import pyarrow as pa
-
-    kept = flt(pa.Table.from_pandas(df, preserve_index=False))
-    got = sorted(zip(kept["url"].to_pylist(), kept["warc_ts"].to_pylist()))
+    gate, n_drops = exact_gate(drops, ["text"], ["warc_ts", "url"])
+    assert n_drops == 2
+    kept = gate(ds_dup).to_pandas()
+    got = sorted(zip(kept["url"], kept["warc_ts"]))
     assert got == [("u1", 1), ("u2", 3), ("u3", 4), ("u4", 5), ("u4", 6)]
-    assert "sixth text" in kept["text"].to_pylist()
+    assert "sixth text" in kept["text"].tolist()
 
 
 def test_flagship_handles_duplicate_and_tied_urls(ray_session, tmp_path):
@@ -205,10 +203,11 @@ def test_flagship_handles_duplicate_and_tied_urls(ray_session, tmp_path):
     assert metrics2["kept"] == 2 and metrics2["after_exact"] == 2
 
 
-def test_flagship_drop_budget_gate_matches_broadcast_limb(ray_session, tmp_path):
-    """A drop set past ``drop_broadcast_budget`` must route BOTH the slim and
-    the full-column chain through the payload-shuffle dedup — never through
-    the driver-side broadcast — and keep exactly the same row set."""
+def test_flagship_drop_budget_gate_matches_broadcast_limb(ray_session, tmp_path, monkeypatch):
+    """A drop set past ``exchange.DROP_BROADCAST_BUDGET`` must route BOTH the
+    slim and the full-column chain through the exact gate's exchange limb —
+    never through the broadcast — and keep exactly the same row set. Under
+    the budget the gate's sorted index is built once for both chains."""
     import datetime
     import os
 
@@ -241,8 +240,22 @@ def test_flagship_drop_budget_gate_matches_broadcast_limb(ray_session, tmp_path)
     os.makedirs(p)
     pq.write_table(pa.Table.from_pylist(rows), os.path.join(p, "part-0.parquet"))
 
+    from fastq_dupaway_ray.stages import exchange
+
+    builds = []
+    orig_build = exchange._build_key_index
+
+    class BuildSpy:
+        def remote(self, confirm, *blocks):
+            builds.append(confirm)
+            return orig_build.remote(confirm, *blocks)
+
+    monkeypatch.setattr(exchange, "_build_key_index", BuildSpy())
     kept_bc, cl_bc, m_bc = run_flagship(p)  # broadcast limb (budget 5M)
-    kept_sh, cl_sh, m_sh = run_flagship(p, drop_broadcast_budget=1)  # forced fallback
+    # one exact-gate index (the only confirmed key set) serves both chains
+    assert builds.count(True) == 1
+    monkeypatch.setattr(exchange, "DROP_BROADCAST_BUDGET", 1)  # forced exchange
+    kept_sh, cl_sh, m_sh = run_flagship(p)
     key = lambda df: sorted(zip(df["url"], df["warc_ts"], df["text"]))
     assert key(kept_sh.to_pandas()) == key(kept_bc.to_pandas())
     assert m_sh["after_exact"] == m_bc["after_exact"] == 12
@@ -311,28 +324,30 @@ def test_run_dedup_exact_clusters_every_limb(ray_session, pages_rows, monkeypatc
     whichever limb then filters the payload: they equal
     ``dedup_exact_clusters`` and the refmodel clusters, and the kept rows
     equal the refmodel's."""
-    import functools
-
     from fastq_dupaway_ray.pipelines.dedup import DedupConfig, run_dedup
     from fastq_dupaway_ray.stages import dedup_exact as _exact
+    from fastq_dupaway_ray.stages import exchange
 
     rows = list(pages_rows)
     if limb == "full_tie":
         rows.append(dict(rows[3]))  # a fully identical copy: no slim key names it
     if limb == "over_budget":
-        monkeypatch.setattr(
-            _exact,
-            "dedup_exact_with_clusters",
-            functools.partial(_exact.dedup_exact_with_clusters, drop_broadcast_budget=0),
-        )
+        monkeypatch.setattr(exchange, "DROP_BROADCAST_BUDGET", 0)
     shuffles = []
     orig_shuffle = _exact._dedup_exact_shuffle
     monkeypatch.setattr(
         _exact, "_dedup_exact_shuffle", lambda *a, **k: shuffles.append(1) or orig_shuffle(*a, **k)
     )
+
+    def no_groupby(*a, **k):
+        raise AssertionError("Ray groupby on an exact limb")
+
+    monkeypatch.setattr(rd.Dataset, "groupby", no_groupby)
     ds_rows = rd.from_pandas(pd.DataFrame(rows))
     out = run_dedup(ds_rows, DedupConfig(mode="exact"))
-    assert len(shuffles) == (0 if limb == "broadcast" else 1)
+    # over budget the exact gate's semi_filter exchange limb runs; only a
+    # full tie still needs the value-comparing shuffle
+    assert len(shuffles) == (1 if limb == "full_tie" else 0)
 
     ref = refmodel.dedup_hash(rows, keys=("text",))
     kept = out.kept.to_pandas()
@@ -372,3 +387,106 @@ def test_run_dedup_exact_clusters_use_one_exchange(ray_session, ds, monkeypatch)
     assert len(out.kept.to_pandas()) == out.metrics["kept"]
     assert len(out.clusters.to_pandas()) == out.metrics["total"]
     assert len(calls) == 1
+
+
+def test_row_key_is_a_function_of_the_row():
+    """``_row_key`` gives a row the same key whatever else shares its batch
+    (nulls in other rows included): drop keys and payload probes are
+    computed over different batches."""
+    import datetime
+
+    import numpy as np
+    import pyarrow as pa
+
+    from fastq_dupaway_ray.stages.dedup_exact import _row_key
+
+    epoch = datetime.datetime(2025, 1, 1)
+    t = pa.table(
+        {
+            "n": pa.array([3, None, 0, 7], pa.int64()),
+            "ts": pa.array([epoch, epoch, None, epoch], pa.timestamp("us")),
+            "url": ["a", "b", None, "d"],
+        }
+    )
+    whole = _row_key(t, ["ts", "url", "n"])
+    for i in range(t.num_rows):
+        one = _row_key(t.slice(i, 1), ["ts", "url", "n"])
+        assert (one[0][0], one[1][0]) == (whole[0][i], whole[1][i])
+    # a null differs from the zero it is filled with
+    assert whole[0][1] != _row_key(t.slice(0, 1).set_column(0, "n", pa.array([0], pa.int64())), ["ts", "url", "n"])[0][0]
+    assert len(set(zip(whole[0].tolist(), whole[1].tolist()))) == t.num_rows
+    assert np.asarray(whole[0]).dtype == np.uint64
+
+
+def _null_ts_order(r):
+    # Arrow sorts nulls last
+    return (r["warc_ts"] is None, r["warc_ts"] or 0, r["url"])
+
+
+@pytest.mark.parametrize("budget", [None, 0], ids=["broadcast", "exchange"])
+def test_exact_gate_nullable_order_key_matches_refmodel(ray_session, monkeypatch, budget):
+    """A loser in a null-free block is removed when another loser of the
+    same drop block has a null ``warc_ts``, on both ``semi_filter`` limbs,
+    and the drop count matches the output."""
+    import pyarrow as pa
+
+    from fastq_dupaway_ray.stages import exchange
+
+    if budget is not None:
+        monkeypatch.setattr(exchange, "DROP_BROADCAST_BUDGET", budget)
+    # block A: 1,500 distinct rows (one full batch and more) plus a loser
+    a_rows = [{"url": f"a{i}", "warc_ts": i + 10, "text": f"text {i}"} for i in range(1_500)]
+    a_rows.append({"url": "a-dup", "warc_ts": 5_000, "text": "text 7"})
+    # block B: a null-warc_ts loser and its winner
+    b_rows = [
+        {"url": "b-null", "warc_ts": None, "text": "shared"},
+        {"url": "b-win", "warc_ts": 1, "text": "shared"},
+        {"url": "b-solo", "warc_ts": None, "text": "solo"},
+    ]
+    schema = pa.schema([("url", pa.string()), ("warc_ts", pa.int64()), ("text", pa.string())])
+    ds = rd.from_arrow(
+        [pa.Table.from_pylist(a_rows, schema), pa.Table.from_pylist(b_rows, schema)]
+    )
+    ctr: dict = {}
+    kept = dedup_exact(ds, counters=ctr).to_pandas()
+    rows = a_rows + b_rows
+    ref = refmodel.dedup_hash(rows, keys=("text",), order=_null_ts_order)
+    assert sorted(kept["url"]) == _urls(ref.kept)
+    assert "a-dup" not in set(kept["url"]) and "b-null" not in set(kept["url"])
+    assert ctr["drops"] == len(rows) - len(kept) == 2
+
+
+def test_exact_full_tie_keeps_nullable_int_column(ray_session):
+    """The value-comparing full-tie limb keeps an integer column whose
+    nulls sit in only some blocks as int64 (no pandas round trip turns it
+    into double in those blocks and breaks the exchange's concat)."""
+    import pyarrow as pa
+
+    schema = pa.schema(
+        [("url", pa.string()), ("warc_ts", pa.int64()), ("text", pa.string()),
+         ("extra", pa.int64()), ("note", pa.string())]
+    )
+    a_rows = [
+        {"url": "a0", "warc_ts": 1, "text": "x", "extra": None, "note": None},
+        {"url": "a1", "warc_ts": 2, "text": "x", "extra": 4, "note": None},
+        {"url": "a2", "warc_ts": 3, "text": "y", "extra": 5, "note": None},
+    ]
+    b_rows = [
+        {"url": "b0", "warc_ts": 4, "text": "z", "extra": 6, "note": "n"},
+        # a full (url, warc_ts, text) tie: no slim key names the loser
+        {"url": "b0", "warc_ts": 4, "text": "z", "extra": 6, "note": "n"},
+        {"url": "b1", "warc_ts": 5, "text": "y", "extra": 7, "note": "m"},
+    ]
+    ds = rd.from_arrow(
+        [pa.Table.from_pylist(a_rows, schema), pa.Table.from_pylist(b_rows, schema)]
+    )
+    for paranoid in (False, True):
+        out = dedup_exact(ds, paranoid=paranoid).materialize()
+        types = dict(zip(out.schema().names, out.schema().types))
+        assert types["extra"] == pa.int64() and types["note"] == pa.string()
+        kept = out.take_all()
+        ref = refmodel.dedup_hash(a_rows + b_rows, keys=("text",))
+        assert _urls(kept) == _urls(ref.kept)
+        assert sorted((r["url"], r["extra"]) for r in kept) == [
+            ("a0", None), ("a2", 5), ("b0", 6)
+        ]

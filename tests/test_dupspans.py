@@ -174,11 +174,17 @@ def test_remove_dup_spans_matches_bruteforce(ray_session):
     assert got.loc[0, "n_removed_chars"] == 0
 
 
-def test_remove_dup_spans_fallback_limb_equal(ray_session):
+def test_remove_dup_spans_fallback_limb_equal(ray_session, monkeypatch):
     """The payload-exchange fallback (cut set over budget) produces the
-    identical corpus to the broadcast limb."""
+    identical corpus to the broadcast limb, through the task hash exchange
+    (no Ray groupby)."""
     df = _removal_corpus(90, seed=77)
     a = _check_removal(df)
+
+    def no_groupby(*a, **k):
+        raise AssertionError("Ray groupby on the cut-set fallback")
+
+    monkeypatch.setattr(rd.Dataset, "groupby", no_groupby)
     b = _check_removal(df, cut_broadcast_budget=0 + 1)  # force fallback
     pd.testing.assert_frame_equal(a, b)
 
@@ -305,19 +311,35 @@ def test_remove_dup_spans_string_ids_empty_round0(ray_session):
     assert got["n_removed_chars"].tolist() == [0, k]
 
 
-def test_remove_dup_spans_prefilter_limb_equal(ray_session):
+def test_remove_dup_spans_prefilter_limb_equal(ray_session, monkeypatch):
     """prefilter=True (stats pass + presence/position split emission) must
     produce exactly the unfiltered result, incl. with rounds>1, a forced
-    over-budget prefilter (which disables itself) and a no-dup corpus."""
+    over-budget prefilter (its semi-join takes the exchange limb and stays
+    on) and a no-dup corpus."""
+    from fastq_dupaway_ray.stages import exchange
+
     df = _removal_corpus(90, seed=79)
     a = _check_removal(df)
     b = _check_removal(df, prefilter=True)
     pd.testing.assert_frame_equal(a, b)
     c = _check_removal(df, prefilter=True, rounds=4)
     pd.testing.assert_frame_equal(a, c)
-    # over-budget: prefilter disables itself, unfiltered limb runs
-    d = _check_removal(df, prefilter=True, dup_doc_broadcast_budget=0)
+    # over-budget: the prefilter's keep=True semi-join runs as an exchange
+    monkeypatch.setattr(exchange, "DROP_BROADCAST_BUDGET", 0)
+    calls = []
+    orig = exchange.semi_filter
+
+    def spy(ds, keys, key_fn, keep=False, confirm_fn=None):
+        out = orig(ds, keys, key_fn, keep=keep, confirm_fn=confirm_fn)
+        calls.append((keep, keys.count(), out.count()))
+        return out
+
+    monkeypatch.setattr(exchange, "semi_filter", spy)
+    d = _check_removal(df, prefilter=True)
     pd.testing.assert_frame_equal(a, d)
+    n_dup_docs = int((_brute(df, 8)["n_dup_windows"] > 0).sum())
+    assert calls == [(True, n_dup_docs, n_dup_docs)]
+    monkeypatch.setattr(exchange, "semi_filter", orig)
     # clean corpus: empty dup set -> all presence rows -> noop
     clean = pd.DataFrame(
         {

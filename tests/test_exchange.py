@@ -176,3 +176,168 @@ def test_minhash_defines_no_exchange_helpers():
         "nonempty_block_refs", "as_arrow_block", "fetch_cached", "group_for_maps",
     ]
     assert [n for n in moved if hasattr(minhash, n)] == []
+
+
+# ---- semi_filter: the one membership gate ---------------------------------
+
+
+def _semi_corpus(n=3_000, seed=5):
+    """Payload rows keyed (g, id): many ids share one g, so the key set has
+    long equal-h1 runs. ``c`` is the confirm half of a row's identity."""
+    rng = np.random.default_rng(seed)
+    df = pd.DataFrame(
+        {
+            "id": np.arange(n, dtype=np.int64),
+            "g": rng.integers(0, 40, size=n).astype(np.int64),
+            "c": rng.integers(0, 5, size=n).astype(np.int64),
+            "text": [f"row {i}" for i in range(n)],
+        }
+    )
+    pick = rng.random(n) < 0.3
+    keys = pd.DataFrame(
+        {
+            "_k1": df["g"][pick].to_numpy().astype(np.uint64),
+            "_k2": df["id"][pick].to_numpy().astype(np.uint64),
+            # a third of the picked keys carry a WRONG confirm value: key
+            # hits that confirm_fn must reject
+            "_c1": (df["c"][pick].to_numpy() + (rng.random(pick.sum()) < 0.33) * 7).astype(np.uint64),
+            "_c2": np.zeros(int(pick.sum()), np.uint64),
+        }
+    )
+    # keys naming no payload row, and duplicated key rows
+    stray = pd.DataFrame(
+        {"_k1": np.uint64(999), "_k2": np.arange(50, dtype=np.uint64),
+         "_c1": np.uint64(0), "_c2": np.uint64(0)}
+    )
+    keys = pd.concat([keys, stray, keys.head(20)], ignore_index=True)
+    return df, keys
+
+
+def _semi_fns():
+    # built per call: nested functions ship to Ray workers by value
+    def key_fn(t: pa.Table):
+        return t["g"].to_numpy().astype(np.uint64), t["id"].to_numpy().astype(np.uint64)
+
+    def confirm_fn(t: pa.Table):
+        return t["c"].to_numpy().astype(np.uint64), np.zeros(t.num_rows, np.uint64)
+
+    return key_fn, confirm_fn
+
+
+def _semi_oracle(df, keys, keep, confirm):
+    """Serial Python-set membership."""
+    if confirm:
+        kset = set(zip(keys["_k1"].tolist(), keys["_k2"].tolist(), keys["_c1"].tolist()))
+        member = [(g, i, c) in kset for g, i, c in zip(df["g"], df["id"], df["c"])]
+    else:
+        kset = set(zip(keys["_k1"].tolist(), keys["_k2"].tolist()))
+        member = [(g, i) in kset for g, i in zip(df["g"], df["id"])]
+    return sorted(df["id"][np.array(member, bool) == keep].tolist())
+
+
+@pytest.mark.parametrize("budget", [None, 0], ids=["broadcast", "exchange"])
+@pytest.mark.parametrize("confirm", [False, True], ids=["key", "confirm"])
+@pytest.mark.parametrize("keep", [False, True], ids=["anti", "semi"])
+def test_semi_filter_matches_set_oracle(ray_session, monkeypatch, budget, confirm, keep):
+    if budget is not None:
+        monkeypatch.setattr(exchange, "DROP_BROADCAST_BUDGET", budget)
+    df, keys = _semi_corpus()
+    if not confirm:
+        keys = keys[["_k1", "_k2"]]
+    key_fn, confirm_fn = _semi_fns()
+    ds = rd.from_arrow(pa.Table.from_pandas(df, preserve_index=False)).repartition(6)
+    out = exchange.semi_filter(
+        ds,
+        rd.from_pandas(keys).repartition(3),
+        key_fn,
+        keep=keep,
+        confirm_fn=confirm_fn if confirm else None,
+    )
+    got = out.to_pandas()
+    assert sorted(got["id"].tolist()) == _semi_oracle(df, keys, keep, confirm)
+    assert out.schema().names == ds.schema().names
+    assert out.schema().types == ds.schema().types
+    # every surviving row is intact
+    assert (got["text"] == "row " + got["id"].astype(str)).all()
+
+
+@pytest.mark.parametrize("budget", [None, 0], ids=["broadcast", "exchange"])
+def test_semi_filter_empty_keys_and_empty_input(ray_session, monkeypatch, budget):
+    if budget is not None:
+        monkeypatch.setattr(exchange, "DROP_BROADCAST_BUDGET", budget)
+    df, keys = _semi_corpus(n=200)
+    key_fn, _ = _semi_fns()
+    ds = rd.from_arrow(pa.Table.from_pandas(df, preserve_index=False))
+    no_keys = rd.from_pandas(keys[["_k1", "_k2"]]).filter(lambda r: False)
+    for keep, n_out in ((False, len(df)), (True, 0)):
+        out = exchange.semi_filter(ds, no_keys, key_fn, keep=keep)
+        assert out.count() == n_out
+        assert out.schema().names == ds.schema().names
+        assert out.schema().types == ds.schema().types
+    # all-empty inputs: a typed zero-row block, and a filter that emptied
+    # every block. A Ray map over zero-row blocks emits no block, so the
+    # broadcast limb may report no schema; any schema reported must match.
+    typed_empty = rd.from_arrow(pa.Table.from_pandas(df, preserve_index=False).slice(0, 0))
+    for empty in (typed_empty, ds.filter(lambda r: False)):
+        for keep in (False, True):
+            out = exchange.semi_filter(empty, rd.from_pandas(keys[["_k1", "_k2"]]), key_fn, keep=keep)
+            assert out.count() == 0
+            got = out.schema()
+            assert got is None or (
+                got.names == ds.schema().names and got.types == ds.schema().types
+            )
+
+
+@pytest.mark.parametrize("budget", [None, 0], ids=["broadcast", "exchange"])
+def test_semi_filter_skips_schemaless_empty_blocks(ray_session, monkeypatch, tmp_path, budget):
+    """Zero-row parquet parts (possibly zero-column blocks) on both the
+    payload and the key side change nothing."""
+    import os
+
+    import pyarrow.parquet as pq
+
+    if budget is not None:
+        monkeypatch.setattr(exchange, "DROP_BROADCAST_BUDGET", budget)
+    df, keys = _semi_corpus(n=500, seed=9)
+    keys = keys[["_k1", "_k2"]]
+    for name, frame in (("rows", df), ("keys", keys)):
+        d = tmp_path / name
+        os.makedirs(d)
+        t = pa.Table.from_pandas(frame, preserve_index=False)
+        pq.write_table(t.slice(0, 0), os.path.join(d, "part-0.parquet"))
+        pq.write_table(t, os.path.join(d, "part-1.parquet"))
+        pq.write_table(t.slice(0, 0), os.path.join(d, "part-2.parquet"))
+    key_fn, _ = _semi_fns()
+    for keep in (False, True):
+        out = exchange.semi_filter(
+            rd.read_parquet(str(tmp_path / "rows")),
+            rd.read_parquet(str(tmp_path / "keys")),
+            key_fn,
+            keep=keep,
+        ).to_pandas()
+        assert sorted(out["id"].tolist()) == _semi_oracle(df, keys, keep, False)
+
+
+def test_semi_filter_exchange_limb_never_collects_keys(ray_session, monkeypatch):
+    """Over budget, no ``ray.get`` on the driver ever fetches a key block."""
+    import ray
+
+    monkeypatch.setattr(exchange, "DROP_BROADCAST_BUDGET", 0)
+    df, keys = _semi_corpus(n=1_000, seed=11)
+    keys_ds = rd.from_pandas(keys[["_k1", "_k2"]]).repartition(4).materialize()
+    key_refs = set(nonempty_block_refs(keys_ds))
+    assert key_refs
+    orig_get = ray.get
+
+    def guarded_get(refs, *a, **k):
+        for r in refs if isinstance(refs, (list, tuple)) else [refs]:
+            assert r not in key_refs, "the driver fetched a key block"
+        return orig_get(refs, *a, **k)
+
+    key_fn, _ = _semi_fns()
+    monkeypatch.setattr(ray, "get", guarded_get)
+    out = exchange.semi_filter(rd.from_pandas(df), keys_ds, key_fn)
+    monkeypatch.setattr(ray, "get", orig_get)
+    assert sorted(out.to_pandas()["id"].tolist()) == _semi_oracle(
+        df, keys[["_k1", "_k2"]], False, False
+    )

@@ -417,12 +417,49 @@ def test_members_from_index_matches_attach_scan(ds, pages_rows):
     assert canon(clus_a) == canon(clus_b)
 
 
+@pytest.mark.parametrize("spine", ["string", "numeric"])
+def test_apply_cluster_labels_exchange_limbs_match_broadcast(ds, monkeypatch, spine):
+    """Both apply_cluster_labels paths keep the same rows and clusters when
+    their drop set takes ``semi_filter``'s exchange limb (budget 0); the
+    string path also runs its above-``DRIVER_PICK_LABELS`` pick as a hash
+    exchange on the label. No Ray groupby runs on the forced limbs."""
+    from fastq_dupaway_ray.stages import exchange, representative
+
+    vout: dict = {}
+    edges = dedup_edges_minhash(
+        ds, verify=True, threshold=0.7, order_cols=("warc_ts", "url"), out=vout,
+        emit="numeric" if spine == "numeric" else "ids",
+    ).materialize()
+    labels = connected_components(edges).materialize()
+    attrs = (vout["index_shards"], vout["attr_cols"]) if spine == "numeric" else None
+
+    def run():
+        ctr: dict = {}
+        kept, clus = apply_cluster_labels(
+            ds.select_columns(["url", "warc_ts"]), labels, payload=ds,
+            counters=ctr, member_attrs=attrs,
+        )
+        cl = clus.to_pandas()[["cluster_id", "member", "is_representative"]]
+        return sorted(kept.to_pandas()["url"]), sorted(map(tuple, cl.values.tolist())), ctr["near_drops"]
+
+    base = run()
+    assert base[2] > 0
+    monkeypatch.setattr(exchange, "DROP_BROADCAST_BUDGET", 0)
+    monkeypatch.setattr(representative, "DRIVER_PICK_LABELS", 0)
+
+    def no_groupby(*a, **k):
+        raise AssertionError("Ray groupby on a forced limb")
+
+    monkeypatch.setattr(rd.Dataset, "groupby", no_groupby)
+    assert run() == base
+
+
 def test_pair_lookup_pos_scans_equal_h1_runs():
     """A 64-bit h1 collision between two distinct ids must not hide the
     later-sorted one (leftmost-only probes silently lose it)."""
     import numpy as np
 
-    from fastq_dupaway_ray.stages.minhash import _pair_lookup_pos
+    from fastq_dupaway_ray.stages.exchange import _pair_lookup_pos
 
     h1s = np.array([3, 7, 7, 7, 9], dtype=np.uint64)
     h2s = np.array([0, 10, 20, 30, 5], dtype=np.uint64)

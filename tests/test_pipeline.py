@@ -97,6 +97,40 @@ def test_flagship_with_checkpoint_resume(pages_corpus, tmp_path, ray_session):
         assert sum(p["rows"] for p in m["partitions"]) == m["rows"]
 
 
+def test_flagship_finishes_at_two_cpus(pages_corpus, ray_session):
+    """No flagship stage may pin every CPU: at ``ray.init(num_cpus=2)`` in a
+    fresh process the run finishes well inside 300 s and keeps the same
+    (url, warc_ts) rows as the 4-CPU session."""
+    import subprocess
+    import sys
+
+    path, _ = pages_corpus
+    script = f"""
+import json, logging, ray
+ray.init(address="local", num_cpus=2, include_dashboard=False, logging_level="ERROR")
+logging.getLogger("ray.data").setLevel(logging.ERROR)
+from ray.data import DataContext
+DataContext.get_current().enable_progress_bars = False
+from fastq_dupaway_ray.pipelines.flagship import run_flagship
+kept, _clusters, _metrics = run_flagship({path!r})
+df = kept.select_columns(["url", "warc_ts"]).to_pandas()
+print(json.dumps(sorted(zip(df["url"], df["warc_ts"].astype("int64").tolist()))))
+ray.shutdown()
+"""
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = {**os.environ, "PYTHONPATH": repo}
+    res = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        timeout=300, cwd=repo, env=env,
+    )
+    assert res.returncode == 0, res.stderr[-3000:]
+    got = [tuple(r) for r in json.loads(res.stdout.strip().splitlines()[-1])]
+    kept, _clusters, _metrics = run_flagship(path)
+    df = kept.select_columns(["url", "warc_ts"]).to_pandas()
+    assert got == sorted(zip(df["url"], df["warc_ts"].astype("int64").tolist()))
+    assert 0 < len(got) < rd.read_parquet(path).count()
+
+
 def test_checkpoint_skips_and_invalidates(ds, tmp_path):
     root = str(tmp_path)
     fp = fingerprint("stage-a", "cfg1")

@@ -20,8 +20,9 @@ def entry() -> Any:
     """Flagship pipeline on /root/testdata/sf0.001: pages-shaped near-dedup.
 
     documents lifted to the (url, warc_ts, html, text, lang) pages schema ->
-    validate/quarantine -> exact keep-first dedup -> MinHash/LSH near-dup ->
-    connected components -> representative selection. Returns the kept pages.
+    validate/quarantine -> ``run_dedup(mode="minhash")``: exact keep-first
+    dedup -> MinHash/LSH near-dup -> connected components -> representative
+    selection. Returns the kept pages.
     """
     import ray.data as rd
 

@@ -21,11 +21,17 @@ Flag translation:
   measured >=0.99-recall config — char 6-shingles, same-length bucketing,
   ball >= 8 — see RECALL_r05.json)
 * ``--minhash``             -> MinHash/LSH near-dup (north rule; no reference analogue)
+* ``--checkpoint-root DIR`` -> per-stage checkpoints + resume for the single-input
+  near-dup modes (``--minhash``, SimHash ``tail-hamming``); ignored otherwise
 * ``-u SECOND --unordered`` -> inner id-join on ``url`` with unmatched counts first
 * ``--write-clusters``      -> clusters Parquet next to the output (S9)
 * ``--verbose``             -> print the run-summary counters (A7)
 * ``--mem-limit``           -> maps to Ray Data's target block size (the
   streaming executor owns memory; the flag is honored as a hint)
+
+Every mode runs ``pipelines.dedup.run_dedup``; every input, parquet or
+FASTA/FASTQ, single or paired, is read through the same quarantining reader
+(malformed rows are counted in ``--verbose``'s ``quarantined``, not kept).
 """
 
 from __future__ import annotations
@@ -98,69 +104,12 @@ def main(argv=None) -> int:
 
     if not ray.is_initialized():
         ray.init(address="local", include_dashboard=False, logging_level="ERROR")
-    import ray.data as rd
     from ray.data import DataContext
 
     DataContext.get_current().target_max_block_size = args.mem_limit * 1024 * 1024 // 16
 
-    from .pipelines.dedup import DedupConfig, run_dedup
-
-    # checkpointed flagship path: single-input MinHash near-dedup with
-    # per-stage resume (state.checkpoint manifests) — re-running after a
-    # crash skips completed stages
-    if args.checkpoint_root and args.minhash and not args.input_2:
-        from .pipelines.flagship import run_flagship
-
-        kept, clusters, metrics = run_flagship(
-            args.input_1, out_dir=None, ckpt_root=args.checkpoint_root
-        )
-        os.makedirs(args.output_1, exist_ok=True)
-        kept.write_parquet(args.output_1)
-        if args.write_clusters and clusters is not None:
-            clusters.write_parquet(args.output_1.rstrip("/") + ".clusters")
-        if args.verbose:
-            print(json.dumps(metrics))
-        return 0
-    if args.checkpoint_root:
-        print("--checkpoint-root currently applies to single-input --minhash runs; ignored",
-              file=sys.stderr)
-
-    from .sources.fastx import dir_has_fastx, is_fastx_path, read_fastx
-
-    def _load(path):
-        # native reference formats lift to the pages schema; malformed
-        # records are dropped with a counter instead of aborting (M9)
-        if args.format or is_fastx_path(path) or dir_has_fastx(path):
-            fx = read_fastx(path, args.format)
-            if args.verbose:
-                bad = fx.map_batches(
-                    lambda t: t.filter(__import__("pyarrow").compute.invert(t["_valid"])),
-                    batch_format="pyarrow",
-                ).count()
-                if bad:
-                    print(f"quarantined {bad} malformed records from {path}", file=sys.stderr)
-            return fx.map_batches(
-                lambda t: t.filter(t["_valid"]).drop_columns(["_valid"]),
-                batch_format="pyarrow",
-            )
-        return rd.read_parquet(path)
-
-    ds = _load(args.input_1)
-    paired = bool(args.input_2)
-    if paired:
-        from .stages.join import join_unordered
-
-        jr = join_unordered(ds, _load(args.input_2), key=args.id_col)
-        if args.verbose:
-            print(f"joined: {jr.matched} matched, {jr.unmatched} unmatched", file=sys.stderr)
-        ds = jr.pairs
-        # after the join every clashing column is suffixed _l/_r; only the
-        # join key survives unsuffixed — order/text/key columns must follow
-        key_cols = (f"{args.text_col}_l", f"{args.text_col}_r")  # paired AND-semantics
-        order_cols = ("warc_ts_l", args.id_col)
-    else:
-        key_cols = (args.text_col,)
-        order_cols = ("warc_ts", args.id_col)
+    from .pipelines.dedup import NEAR_MODES, DedupConfig, run_dedup, spool_fastx_once
+    from .sources.pages import read_pages, split_quarantine
 
     if args.minhash:
         mode = "minhash"
@@ -172,6 +121,37 @@ def main(argv=None) -> int:
         mode = "loose"
     else:
         mode = "tight"  # the reference's default comparison mode
+
+    paired = bool(args.input_2)
+    ckpt_root = args.checkpoint_root if (mode in NEAR_MODES and not paired) else None
+    if args.checkpoint_root and ckpt_root is None:
+        print("--checkpoint-root ignored: only single-input --minhash and "
+              "--compare-seq tail-hamming (SimHash) runs persist stages; "
+              "--fast, tight, loose, --exact-mirror and paired runs persist nothing",
+              file=sys.stderr)
+
+    if paired:
+        from .stages.join import join_unordered
+
+        def _load(path):
+            # the same quarantining reader run_dedup uses for a path (M9)
+            raw = read_pages(spool_fastx_once(path, None, args.format)[0])
+            return split_quarantine(raw, args.id_col, args.text_col)[0]
+
+        jr = join_unordered(_load(args.input_1), _load(args.input_2), key=args.id_col)
+        if args.verbose:
+            print(f"joined: {jr.matched} matched, {jr.unmatched} unmatched", file=sys.stderr)
+        src = jr.pairs
+        # after the join every clashing column is suffixed _l/_r; only the
+        # join key survives unsuffixed — order/text/key columns must follow
+        key_cols = (f"{args.text_col}_l", f"{args.text_col}_r")  # paired AND-semantics
+        order_cols = ("warc_ts_l", args.id_col)
+    else:
+        src = args.input_1
+        if args.format:  # forced FASTA/FASTQ parse, whatever the extension
+            src = spool_fastx_once(src, ckpt_root, args.format)[0]
+        key_cols = (args.text_col,)
+        order_cols = ("warc_ts", args.id_col)
 
     cfg = DedupConfig(
         mode=mode,
@@ -202,8 +182,8 @@ def main(argv=None) -> int:
             else {}
         ),
     )
-    out = run_dedup(ds, cfg)
-    from .sources.fastx import write_fastx
+    out = run_dedup(src, cfg, ckpt_root)
+    from .sources.fastx import is_fastx_path, write_fastx
 
     if is_fastx_path(args.output_1) and not paired:
         # drop-in reference parity: single fastx sink, records in file order,

@@ -1,35 +1,75 @@
-"""Unified dedup pipeline dispatch — the engine's main() analogue.
+"""The one dedup composition — the engine's main() analogue.
 
 The reference's ``main`` dispatches on a mode bitmask to one of 8 concrete
 pipelines (/root/reference/src/main.cpp:196-245); here a config dataclass
-selects the stage composition. Every mode returns the same triple:
+selects the mode and ``run_dedup`` runs every mode through one lifecycle
+(SURVEY.md §3). The CLI, the flagship (``pipelines.flagship``) and the
+training-data pipeline all call it:
 
-    DedupOutput(kept: Dataset, clusters: Dataset, metrics: dict)
+    read        a path: pruned columns for the slim passes, the full columns
+                for the payload (FASTA/FASTQ: the near-dup modes spool it to
+                parquet once; the other modes hold its slim parse in memory);
+                a Dataset is taken as the caller's valid rows
+    -> validate ``split_quarantine``: malformed rows are counted, not aborted
+    -> exact    keep-first drop set (``exact_drop_ids``) + ``exact_gate``
+                [exact, minhash, simhash]
+    -> edges    MinHash/LSH + verify, or SimHash          [minhash, simhash]
+    -> components -> representative (``apply_cluster_labels``)
+    -> DedupOutput(kept: Dataset [lazy], clusters: Dataset | None, metrics)
 
-metrics mirrors the --verbose counters (total / kept / duplicates,
-/root/reference/src/hash_dup_remover.hpp:342-346).
+* "exact"   — hash keep-first (reference --fast, A1); drops and clusters
+              come from one exchange (``dedup_exact_with_clusters``);
+              composite ``key_cols`` reproduces paired mode (A2)
+* "tight"/"loose"/"hamming" — sorted-adjacency scans (A3-A5, exact mirrors
+              of the reference); they take the validated rows, no exact stage
+* "minhash" — MinHash+LSH near-dup -> components -> representatives
+* "simhash" — SimHash Hamming-ball near-dup -> components -> representatives
 
-Modes:
-* "exact"        — hash keep-first (reference --fast, A1); composite
-                   ``key_cols`` reproduces paired mode (A2)
-* "tight"/"loose"/"hamming" — sorted-adjacency scans (A3-A5, exact mirrors)
-* "minhash"      — MinHash+LSH near-dup -> components -> representatives
-* "simhash"      — SimHash Hamming-ball near-dup -> components -> representatives
+Every intermediate of the near-dup modes is SLIM (drop keys, edges, labels):
+the signing and label passes read only the id, order and text columns, and
+one ``exact_gate`` filters both that slim chain and the full-column payload,
+which is decoded only when the caller consumes ``kept``. Kept-row counts are
+derived from the drop-set sizes, so no pass counts the payload.
+
+With ``ckpt_root`` (path inputs, near-dup modes) the slim stage results are
+checkpointed as ``exact``, ``edges`` and ``labels`` (``state.checkpoint``).
+Their fingerprints chain from the whole ``DedupConfig`` and the input's
+content identity, so a re-run with the same config resumes after the last
+complete stage, and any other config or an edited input starts over.
+
+Id contract: the exact stage is row-exact under any input (recrawled urls
+lose keep-first without sweeping their winner; full ties route to a
+value-comparing fallback inside ``exact_gate``). The near-dup stages treat
+``id_col`` as the document identity: rows that share an id after the exact
+stage are kept or dropped together.
+
+``metrics`` holds the --verbose counters (/root/reference/src/
+hash_dup_remover.hpp:342-346) with ``total = quarantined +
+exact_dup_removed + near_dup_removed + kept``; the adjacency modes report
+their drops as ``near_dup_removed``.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import ray.data
 
 from ..functions.sketches import MinHashParams
+from ..sources.fastx import dir_has_fastx, is_fastx_path, read_fastx
+from ..sources.pages import read_pages, split_quarantine
 from ..stages import adjacency as _adj
 from ..stages import components as _comp
 from ..stages import dedup_exact as _exact
 from ..stages import minhash as _mh
 from ..stages import representative as _rep
 from ..stages import simhash as _sh
+from ..state.checkpoint import checkpoint, fingerprint, input_identity, is_complete, read_manifest
+
+MODES = ("exact", "tight", "loose", "hamming", "minhash", "simhash")
+# the modes whose stages persist under ckpt_root; the rest persist nothing
+NEAR_MODES = ("minhash", "simhash")
 
 
 @dataclass
@@ -64,37 +104,137 @@ class DedupOutput:
     metrics: dict
 
 
-def run_dedup(ds: ray.data.Dataset, cfg: DedupConfig = DedupConfig()) -> DedupOutput:
-    # exact mode counts its input from the slim exchange's block metadata;
-    # the other modes count up front (on a fastx lineage that is a parse)
-    total = None if cfg.mode == "exact" else ds.count()
-    # kept-row counts come out of the slim dedup machinery (drop-set /
-    # non-representative counters) whenever the fast limbs run, so the
-    # filtered PAYLOAD is never materialized or counted here — consuming a
-    # web-scale corpus purely to count it is memory-bandwidth burned. kept
-    # stays lazy; callers that write it pay the one payload pass they need.
-    n_kept = None
+def _is_spool(path: str) -> bool:
+    return os.path.exists(os.path.join(path, "_SPOOLED"))
+
+
+def spool_fastx_once(path: str, ckpt_root: str | None, fmt: str | None = None):
+    """FASTX inputs: parse+gunzip ONCE into a parquet spool; returns
+    ``(path to read, spooled)``. A pipeline reads its input several times
+    (count, exact pass, signing, payload sink) — cheap for parquet (metadata
+    counts, pruned column reads) but a full decompress + parse per pass for
+    fastx. ``fmt`` forces FASTA/FASTQ parsing of a path without a fastx
+    extension. The spool is fingerprinted on the input's content identity
+    and reused across runs (under ``ckpt_root`` when given, else a temp dir);
+    a spool path passes through as spooled. Other paths pass through."""
+    import shutil
+    import tempfile
+
+    if _is_spool(path):
+        return path, True
+    if not (fmt or is_fastx_path(path) or dir_has_fastx(path)):
+        return path, False
+    fp = fingerprint("fastx-spool", os.path.abspath(path), fmt, input_identity(path))
+    root = ckpt_root or os.path.join(tempfile.gettempdir(), "fdr_fastx_spool")
+    spool = os.path.join(root, f"spool-{fp[:16]}")
+    marker = os.path.join(spool, "_SPOOLED")
+    if not os.path.exists(marker):
+        shutil.rmtree(spool, ignore_errors=True)  # partial crashed spool
+        os.makedirs(spool, exist_ok=True)
+        # the raw parse keeps the fastx _valid record-shape flags: the page
+        # validator folds a pre-existing _valid column in with AND
+        read_fastx(path, fmt).write_parquet(spool)
+        with open(marker, "w") as f:
+            f.write(fp)
+    return spool, True
+
+
+def _near_edges(ds: ray.data.Dataset, cfg: DedupConfig, vout: dict) -> ray.data.Dataset:
+    if cfg.mode == "minhash":
+        return _mh.dedup_edges_minhash(
+            ds,
+            params=cfg.minhash,
+            id_col=cfg.id_col,
+            text_col=cfg.text_col,
+            order_cols=cfg.order_cols,
+            verify=cfg.verify,
+            threshold=cfg.threshold,
+            out=vout,
+            # numeric spine end-to-end: edge ids stay 128-bit hash pairs
+            # through components; strings materialize once from the verify
+            # index inside apply_cluster_labels
+            emit="numeric" if cfg.verify else "ids",
+        )
+    return _sh.simhash_candidate_edges(
+        ds,
+        distance=cfg.distance,
+        id_col=cfg.id_col,
+        text_col=cfg.text_col,
+        text_cols=cfg.text_cols,  # paired: both mates within distance
+        order_cols=cfg.order_cols,
+        feature=cfg.simhash_feature,
+        shingle_k=cfg.simhash_shingle_k,
+        length_bucket=cfg.simhash_length_bucket,
+        dense_limit=cfg.simhash_dense_limit,
+    )
+
+
+def run_dedup(
+    src, cfg: DedupConfig = DedupConfig(), ckpt_root: str | None = None
+) -> DedupOutput:
+    """Dedup a pages path (quarantined here) or a Dataset of valid rows; see
+    the module docstring. ``ckpt_root`` checkpoints the near-dup modes' slim
+    stages and needs a path input."""
+    if cfg.mode not in MODES:
+        raise ValueError(f"unknown dedup mode: {cfg.mode}")
+    near = cfg.mode in NEAR_MODES
+    if isinstance(src, ray.data.Dataset):
+        if ckpt_root:
+            raise ValueError("ckpt_root fingerprints the input's files: pass a path")
+        slim = full = src
+        # exact mode counts its input from the slim exchange's block metadata
+        total = None if cfg.mode == "exact" else src.count()
+        fp = None
+    else:
+        # the near-dup modes read their input several times: spool FASTA/FASTQ
+        path, spooled = spool_fastx_once(src, ckpt_root) if near else (src, _is_spool(src))
+        # prune at the read: the exact, signing and label passes need no html
+        cols = list(dict.fromkeys([cfg.id_col, *cfg.order_cols, *cfg.key_cols, cfg.text_col]))
+        raw = read_pages(path, columns=[*cols, "_valid"] if spooled else cols)
+        if is_fastx_path(path) or dir_has_fastx(path):
+            raw = raw.materialize()  # parse once for the count and the slim passes
+        total = raw.count()  # parquet metadata or materialized blocks — no data read
+        slim = split_quarantine(raw, cfg.id_col, cfg.text_col)[0]
+        full = split_quarantine(read_pages(path), cfg.id_col, cfg.text_col)[0]
+        fp = fingerprint(cfg, os.path.abspath(src), input_identity(src))
+
+    def persist(name: str, build):
+        """A slim stage result, materialized once, and its counters. Under
+        ``ckpt_root`` it is checkpointed (``checkpoint`` hands the
+        materialized blocks back), and a complete checkpoint of the same
+        fingerprint is read back instead of building it."""
+        nonlocal fp
+        fp = fingerprint(name, fp)
+        where = os.path.join(ckpt_root, name) if ckpt_root else None
+        if where and is_complete(where, fp):
+            ds = ray.data.read_parquet(where, file_extensions=["parquet"])
+            return ds, read_manifest(ckpt_root, name).get("extra", {})
+        ctr: dict = {}
+        ds = build(ctr).materialize()
+        return (checkpoint(ds, ckpt_root, name, fp, extra=ctr) if where else ds), ctr
+
+    clusters = None
+    n_near = 0
     if cfg.mode == "exact":
         ctr: dict = {}
-        kw = dict(
+        kept, clusters = _exact.dedup_exact_with_clusters(
+            slim,
             key_cols=cfg.key_cols,
+            id_col=cfg.id_col if cfg.emit_clusters else None,
             order_cols=cfg.order_cols,
             num_buckets=cfg.num_buckets,
             counters=ctr,
+            payload=full,
         )
-        if cfg.emit_clusters:
-            # drops and clusters from ONE slim exchange
-            kept, clusters = _exact.dedup_exact_with_clusters(ds, id_col=cfg.id_col, **kw)
-        else:
-            kept, clusters = _exact.dedup_exact(ds, **kw), None
-        total = ctr["n_input"]
-        if "drops" in ctr:
-            n_kept = total - ctr["drops"]
-        else:  # payload-shuffle fallback limb: count the result
+        valid = ctr["n_input"]
+        n_exact = ctr.get("drops")
+        if n_exact is None:  # a full tie took the value-comparing gate
             kept = kept.materialize()
-    elif cfg.mode in ("tight", "loose", "hamming"):
+            n_exact = valid - kept.count()
+        n_kept = valid - n_exact
+    elif not near:
         res = _adj.dedup_adjacency(
-            ds,
+            full,
             mode=cfg.mode,
             distance=cfg.distance,
             text_col=cfg.text_col,
@@ -105,65 +245,74 @@ def run_dedup(ds: ray.data.Dataset, cfg: DedupConfig = DedupConfig()) -> DedupOu
         )
         kept = res.kept.materialize()
         clusters = res.clusters if cfg.emit_clusters else None
-    elif cfg.mode in ("minhash", "simhash"):
+        valid = total if slim is src else slim.count()
+        n_exact, n_kept = 0, kept.count()
+        n_near = valid - n_kept
+    else:
+        def exact_drops(ctr):
+            drops = _exact.exact_drop_ids(
+                slim, cfg.key_cols, cfg.order_cols, cfg.id_col, counters=ctr
+            )
+            ctr["n_valid"] = ctr.pop("n_input")
+            return drops
+
+        drops, ctr = persist("exact", exact_drops)
+        valid = ctr["n_valid"]
+        # one gate, its key set prepared once, filters the slim chain and
+        # the full-column payload alike
+        gate, n_exact = _exact.exact_gate(drops, cfg.key_cols, cfg.order_cols)
+        exact_slim = gate(slim)
+        if n_exact is None:
+            # a losing row fully ties its keep-first winner: the gate
+            # compares actual values — count its output
+            exact_slim = exact_slim.materialize()
+            n_exact = valid - exact_slim.count()
+        exact_full = exact_slim if full is slim else gate(full)
+
         vout: dict = {}
-        if cfg.mode == "minhash":
-            edges = _mh.dedup_edges_minhash(
-                ds,
-                params=cfg.minhash,
-                id_col=cfg.id_col,
-                text_col=cfg.text_col,
-                order_cols=cfg.order_cols,
-                verify=cfg.verify,
-                threshold=cfg.threshold,
-                out=vout,
-                # numeric spine end-to-end: edge ids stay 128-bit hash pairs
-                # through components; strings materialize once from the
-                # verify index inside apply_cluster_labels (falls back to
-                # string edges automatically on the join-verify limb)
-                emit="numeric" if cfg.verify else "ids",
+        edges, _ = persist("edges", lambda _ctr: _near_edges(exact_slim, cfg, vout))
+        if "ah1" in edges.schema().names and "index_shards" not in vout:
+            # checkpoint-resumed numeric edges: rebuild the endpoint index
+            # (one corpus scan — cheap next to the skipped sign/LSH/verify
+            # stages) so the representative stage can materialize member ids
+            shard_refs, _texts, attrs = _mh.build_endpoint_index(
+                edges.materialize(), exact_slim, id_col=cfg.id_col,
+                text_col=cfg.text_col, attr_cols=cfg.order_cols,
             )
-        else:
-            edges = _sh.simhash_candidate_edges(
-                ds,
-                distance=cfg.distance,
-                id_col=cfg.id_col,
-                text_col=cfg.text_col,
-                text_cols=cfg.text_cols,  # paired: both mates within distance
-                order_cols=cfg.order_cols,
-                feature=cfg.simhash_feature,
-                shingle_k=cfg.simhash_shingle_k,
-                length_bucket=cfg.simhash_length_bucket,
-                dense_limit=cfg.simhash_dense_limit,
-            )
-        labels = _comp.connected_components(edges.materialize()).materialize()
-        ctr = {}
-        # attach labels over a SLIM projection; the full-column dataset only
-        # feeds the final keep-filter (html is never decoded to pick reps).
-        # When the verify stage produced its sharded endpoint index, member
-        # order values come from there and the attach corpus pass is skipped.
-        slim_cols = sorted(set([cfg.id_col, *cfg.order_cols]))
-        attrs = (
-            (vout["index_shards"], vout["attr_cols"])
-            if "index_shards" in vout
-            else None
-        )
+            if shard_refs:
+                vout.update(index_shards=shard_refs, attr_cols=attrs)
+        labels, _ = persist("labels", lambda _ctr: _comp.connected_components(edges))
+        rctr: dict = {}
         kept, clusters = _rep.apply_cluster_labels(
-            ds.select_columns(slim_cols),
+            exact_slim,
             labels,
             id_col=cfg.id_col,
             order_cols=cfg.order_cols,
-            payload=ds,
-            counters=ctr,
-            member_attrs=attrs,
+            payload=exact_full,
+            counters=rctr,
+            # verify's endpoint index carries the member order values — the
+            # label-attach corpus pass is skipped
+            member_attrs=(
+                (vout["index_shards"], vout["attr_cols"]) if "index_shards" in vout else None
+            ),
         )
-        n_kept = total - ctr["near_drops"]
+        n_near = rctr["near_drops"]
+        n_kept = valid - n_exact - n_near
         if not cfg.emit_clusters:
             clusters = None
-    else:
-        raise ValueError(f"unknown dedup mode: {cfg.mode}")
 
-    if n_kept is None:
-        n_kept = kept.count()
-    metrics = {"mode": cfg.mode, "total": total, "kept": n_kept, "duplicates": total - n_kept}
+    total = valid if total is None else total
+    metrics = {
+        "mode": cfg.mode,
+        "total": total,
+        "quarantined": total - valid,
+        "valid": valid,
+        "exact_dup_removed": n_exact,
+        "after_exact": valid - n_exact,
+        "near_dup_removed": n_near,
+        "kept": n_kept,
+        "duplicates": n_exact + n_near,
+    }
+    if near:
+        metrics["candidate_edges"] = edges.count()
     return DedupOutput(kept=kept, clusters=clusters, metrics=metrics)

@@ -6,8 +6,8 @@ stage library (each stage individually oracle-checked by the driver):
     read (pruned columns)
     -> quality filter          (functions.textstats: token/digit thresholds)
     -> language filter         (allowlist)
-    -> exact dedup             (stages.dedup_exact: slim identity, keep-first)
-    -> MinHash near-dedup      (stages.minhash -> components -> representative)
+    -> run_dedup               (pipelines.dedup: exact keep-first, then
+                                MinHash -> components -> representative)
     -> token accounting        (metrics: docs/tokens surviving each stage)
 
 Everything streams; the only driver-side values are the per-stage counters
@@ -21,10 +21,7 @@ import ray.data
 
 from ..functions.sketches import MinHashParams
 from ..functions.textstats import quality_features
-from ..stages import components as _comp
-from ..stages import minhash as _mh
-from ..stages import representative as _rep
-from ..stages.dedup_exact import dedup_exact
+from .dedup import DedupConfig, run_dedup
 
 
 def quality_language_filter(
@@ -64,26 +61,22 @@ def run_training_data(
     """Returns (kept: Dataset, metrics: dict)."""
     metrics = {"input": ds.count()}
     filtered = quality_language_filter(ds, min_tokens, max_digit_ratio, langs)
-    exact = dedup_exact(filtered, key_cols=(text_col,), order_cols=(id_col,)).materialize()
-    metrics["after_filter_and_exact"] = exact.count()
-    kept = exact
+    out = run_dedup(
+        filtered,
+        DedupConfig(
+            mode="minhash" if near_dedup else "exact",
+            key_cols=(text_col,),
+            id_col=id_col,
+            text_col=text_col,
+            order_cols=(id_col,),
+            minhash=params,
+            emit_clusters=False,
+        ),
+    )
+    kept = out.kept.materialize()
+    metrics["after_filter_and_exact"] = out.metrics["after_exact"]
     if near_dedup:
-        vout: dict = {}
-        edges = _mh.dedup_edges_minhash(
-            exact, params=params, id_col=id_col, text_col=text_col,
-            order_cols=(id_col,), out=vout, emit="numeric",
-        ).materialize()
-        labels = _comp.connected_components(edges)
-        kept, _clusters = _rep.apply_cluster_labels(
-            exact, labels, id_col=id_col, order_cols=(id_col,),
-            member_attrs=(
-                (vout["index_shards"], vout["attr_cols"])
-                if "index_shards" in vout
-                else None
-            ),
-        )
-        kept = kept.materialize()
-        metrics["near_dup_edges"] = edges.count()
+        metrics["near_dup_edges"] = out.metrics["candidate_edges"]
     metrics["kept"] = kept.count()
     metrics["total_tokens_kept"] = int(
         kept.map_batches(

@@ -2538,8 +2538,9 @@ FROM documents
 def q_pages_flagship(sf_dir: str):
     """Flagship pages pipeline — the near-dup-planted documents lifted to the
     (url, warc_ts, html, text, lang) pages schema, through quarantine
-    validation and the full MinHash near-dedup: kept urls are the planted
-    clusters' earliest members plus the reversed (below-threshold) copies."""
+    validation and ``run_dedup``'s MinHash mode (exact keep-first, then
+    near-dup): kept urls are the planted clusters' earliest members plus the
+    reversed (below-threshold) copies."""
     from .corpus import render_html
     from .pipelines.dedup import DedupConfig, run_dedup
     from .sources.pages import split_quarantine

@@ -51,19 +51,19 @@ def read_pages(path, columns=None) -> ray.data.Dataset:
     return ray.data.read_parquet(path, columns=columns)
 
 
-def validate_pages_batch(batch: pa.Table) -> pa.Table:
+def validate_pages_batch(batch: pa.Table, id_col: str = "url", text_col: str = "text") -> pa.Table:
     """Stateless ingest validation: append an ``_valid`` bool column.
 
-    Invariants (per FIXTURES.md / input_hint): url non-empty, text non-null,
-    warc_ts non-null. Invalid rows are flagged, not dropped — callers either
+    Invariants (per FIXTURES.md / input_hint): id (``url``) non-empty, text
+    non-null, warc_ts non-null. Invalid rows are flagged, not dropped — callers either
     filter them into the main flow or write them to a quarantine sink.
     A pre-existing ``_valid`` column (the fastx parser's record-shape checks)
     is folded in with AND.
     """
     ok = pc.and_(
         pc.and_(
-            pc.greater(pc.utf8_length(pc.coalesce(batch["url"], pa.scalar(""))), 0),
-            pc.is_valid(batch["text"]),
+            pc.greater(pc.utf8_length(pc.coalesce(batch[id_col], pa.scalar(""))), 0),
+            pc.is_valid(batch[text_col]),
         ),
         pc.is_valid(batch["warc_ts"]),
     )
@@ -73,9 +73,12 @@ def validate_pages_batch(batch: pa.Table) -> pa.Table:
     return batch.append_column("_valid", ok)
 
 
-def split_quarantine(ds: ray.data.Dataset):
+def split_quarantine(ds: ray.data.Dataset, id_col: str = "url", text_col: str = "text"):
     """Validated main flow + quarantine flow (both lazy)."""
-    flagged = ds.map_batches(validate_pages_batch, batch_format="pyarrow")
+    flagged = ds.map_batches(
+        validate_pages_batch, batch_format="pyarrow",
+        fn_kwargs={"id_col": id_col, "text_col": text_col},
+    )
     good = flagged.map_batches(
         lambda t: t.filter(t["_valid"]).drop_columns(["_valid"]), batch_format="pyarrow"
     )

@@ -372,9 +372,8 @@ def _lag_scan(
         )
 
     seams = sorted_ds.map_batches(seam_summary, batch_size=None, batch_format="pandas").to_pandas()
-    seams = seams.sort_values([f"first_{c}" for c in key_cols], kind="mergesort").reset_index(
-        drop=True
-    )
+    if len(seams):  # an all-empty input maps to no block, so no columns
+        seams = seams.sort_values([f"first_{c}" for c in key_cols], kind="mergesort")
 
     # serial chain over block seams — state == last row's texts for LAG modes
     plan = {}  # first-row full sort key tuple -> (drop_first: bool, incoming_head)

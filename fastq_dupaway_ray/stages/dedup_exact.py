@@ -228,10 +228,6 @@ def _keep_first_exchange(
     return hash_exchange(slimtab, "_k1", num_buckets, fn)
 
 
-def _drop_rows(t: pa.Table) -> pa.Table:
-    return t.filter(t["_lose"]).drop_columns(["_lose", "_head"])
-
-
 def _cluster_rows(t: pa.Table, id_col: str) -> pa.Table:
     member = t[id_col]
     return pa.table(
@@ -290,30 +286,30 @@ def dedup_exact_with_clusters(
     order_cols=DEFAULT_ORDER,
     num_buckets: int = 64,
     counters: dict | None = None,
+    payload: ray.data.Dataset | None = None,
 ) -> tuple[ray.data.Dataset, ray.data.Dataset | None]:
     """``dedup_exact`` plus its ``dedup_exact_clusters`` table from ONE slim
     exchange: (kept rows, clusters). The clusters come from that exchange
     whichever limb then filters the payload; ``id_col=None`` skips them
-    (clusters None)."""
+    (clusters None). ``payload`` (default ``ds``) is the dataset the gate
+    filters — the full-column rows ``ds`` is a projection of."""
     key_cols = list(key_cols)
     order_cols = list(order_cols)
     rows = _keep_first_exchange(
         ds, key_cols, order_cols, id_col, num_buckets, order_cols,
         heads=id_col is not None, counters=counters,
     )
-    if id_col is None:
-        drops, clusters = rows, None
-    else:
-        drops = rows.map_batches(_drop_rows, batch_format="pyarrow")
+    clusters = None
+    if id_col is not None:
         clusters = rows.map_batches(
             _cluster_rows, batch_format="pyarrow", fn_kwargs={"id_col": id_col}
         )
-    gate, n_drops = exact_gate(drops, key_cols, order_cols, num_buckets)
+    gate, n_drops = exact_gate(rows, key_cols, order_cols, num_buckets)
     if counters is not None and n_drops is not None:
         # exact duplicate count, known without consuming the filtered payload
         # (callers use it to avoid a pure-count pass over the corpus)
         counters["drops"] = n_drops
-    return gate(ds), clusters
+    return gate(ds if payload is None else payload), clusters
 
 
 @ray.remote(num_returns=2)
@@ -324,6 +320,8 @@ def _gate_block(block, order_cols) -> tuple:
     from .exchange import as_arrow_block
 
     t = as_arrow_block(block)  # internal refs can be pandas blocks
+    if "_lose" in t.column_names:  # every row of a heads exchange
+        t = t.filter(t["_lose"])
     k1, k2 = _row_key(t, order_cols)
     keys = pa.table(
         {
@@ -338,7 +336,8 @@ def _gate_block(block, order_cols) -> tuple:
 
 def exact_gate(drops: ray.data.Dataset, key_cols, order_cols, num_buckets: int = 64):
     """The one exact keep-first gate: ``(gate, n_drops)`` for the loser rows
-    of a slim exchange (order cols, ``_k1``, ``_k2``, ``_ambig``).
+    of a slim exchange (order cols, ``_k1``, ``_k2``, ``_ambig``) — or for
+    every row of a heads exchange, whose ``_lose`` flag names the losers.
 
     ``gate(ds)`` removes those losers from ``ds`` — any dataset carrying the
     order and key columns of the rows ``drops`` came from (the flagship

@@ -94,7 +94,10 @@ def _exchange_map(key: str, B: int, *blocks):
         # the richest schema so downstream column selects keep working
         empty = max(blocks, key=lambda b: b.num_columns).slice(0, 0)
         return [empty] * B if B > 1 else empty
-    block = parts[0] if len(parts) == 1 else pa.concat_tables(parts).combine_chunks()
+    block = (
+        parts[0] if len(parts) == 1
+        else pa.concat_tables(parts, promote_options="default").combine_chunks()
+    )
     vals = block[key].to_numpy().astype(np.uint64, copy=False)
     bkt = (vals % np.uint64(B)).astype(np.int64)
     order = np.argsort(bkt, kind="stable")
@@ -113,7 +116,7 @@ def _exchange_reduce(fn, *shards):
         if not shards:
             return None
         return fn(max(shards, key=lambda s: s.num_columns).slice(0, 0))
-    return fn(pa.concat_tables(parts).combine_chunks())
+    return fn(pa.concat_tables(parts, promote_options="default").combine_chunks())
 
 
 def exchange_fanout(b_cap: int, rows: int, size_bytes: int, rows_known: bool = True) -> int:
@@ -142,7 +145,9 @@ def hash_exchange(ds: ray.data.Dataset, key: str, B: int, fn) -> ray.data.Datase
     ``key`` must be an integer column; ``fn`` takes one bucket's Arrow table
     (possibly zero-row) and returns an Arrow table, and ``fn(None)`` must
     return the typed-empty result for an all-empty input. Complete key
-    groups always land in one call of ``fn``, for any ``B``.
+    groups always land in one call of ``fn``, for any ``B``. Blocks may carry
+    different column sets (side-tagged inputs, as in ``stages.asof``): a
+    bucket's table holds their union, absent columns null.
 
     Map-side argsort + zero-copy slices + one concat per reducer is bounded
     by the bytes actually moved. Every intermediate stays in the object

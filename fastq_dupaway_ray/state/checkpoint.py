@@ -111,7 +111,14 @@ def checkpoint(
         import pyarrow as pa
         import pyarrow.parquet as _pq
 
-        empty = pa.table({f.name: pa.array([], f.type) for f in ds.schema().base_schema})
+        # (a pandas block's object column has no Arrow type: typed null)
+        schema = ds.schema()
+        empty = pa.table(
+            {
+                n: pa.array([], t if isinstance(t, pa.DataType) else pa.null())
+                for n, t in (zip(schema.names, schema.types) if schema else ())
+            }
+        )
         _pq.write_table(empty, os.path.join(tmp_dir, "part-empty.parquet"))
         files = ["part-empty.parquet"]
     # per-partition lineage: row count per part file from parquet footers

@@ -259,3 +259,163 @@ def test_cli_simhash_parity_conflicts(paths, capsys, ray_session):
     ):
         assert main(["-i", src, "-o", out, *bad]) == 2
         assert "simhash-parity" in capsys.readouterr().err
+
+
+# every single-input CLI mode; the last one persists its stages
+SINGLE_INPUT_MODES = {
+    "fast": ["--fast"],
+    "tight": [],
+    "loose": ["--compare-seq", "loose"],
+    "simhash": ["--compare-seq", "tail-hamming"],
+    "hamming": ["--compare-seq", "tail-hamming", "--exact-mirror"],
+    "minhash": ["--minhash"],
+    "minhash_ckpt": ["--minhash", "--checkpoint-root", "{ckpt}"],
+}
+MALFORMED_URLS = {"", "bad/text/0", "bad/text/1", "bad/text/2"}
+
+
+def _malformed_pages(path, n_valid=12):
+    """Valid rows with unique urls (exact copies and one-word edits planted)
+    interleaved with 3 empty-url rows and 3 null-text rows."""
+    import datetime
+
+    import pyarrow as pa
+
+    epoch = datetime.datetime(2025, 1, 1)
+    words = [f"w{i}" for i in range(40)]
+    base = [" ".join(words[i:] + words[:i]) for i in range(0, 40, 10)]
+    rows = []
+    for i in range(n_valid):
+        text = base[i % len(base)]
+        if i % 3 == 2:
+            text = text.replace("w7", "x7")  # near copy
+        rows.append((f"ok/{i}", text))
+    for j in range(3):
+        rows.insert(4 * j + 1, ("", base[j]))  # would dedup against valid rows
+        rows.insert(4 * j + 3, (f"bad/text/{j}", None))
+    table = pa.table(
+        {
+            "url": pa.array([u for u, _ in rows], pa.string()),
+            "warc_ts": pa.array(
+                [epoch + datetime.timedelta(seconds=s) for s in range(len(rows))],
+                pa.timestamp("us"),
+            ),
+            "html": pa.array([(t or "").encode() for _, t in rows], pa.binary()),
+            "text": pa.array([t for _, t in rows], pa.string()),
+            "lang": pa.array(["en"] * len(rows), pa.string()),
+        }
+    )
+    os.makedirs(path)
+    pq.write_table(table, os.path.join(path, "part-0.parquet"))
+    return table.num_rows
+
+
+def _run_cli(argv, capsys):
+    rc = main(argv)
+    cap = capsys.readouterr()
+    metrics = json.loads(cap.out.strip().splitlines()[-1]) if rc == 0 else None
+    return rc, metrics, cap.err
+
+
+def _written(path, columns=None):
+    import glob
+
+    import pyarrow as pa
+
+    files = sorted(glob.glob(os.path.join(path, "*.parquet")))
+    tabs = [pq.read_table(f, columns=columns) for f in files]
+    return pa.concat_tables(tabs) if tabs else None
+
+
+@pytest.mark.parametrize("n_valid", [12, 0], ids=["mixed", "all_malformed"])
+@pytest.mark.parametrize("mode", sorted(SINGLE_INPUT_MODES))
+def test_cli_every_mode_quarantines_malformed_rows(tmp_path, capsys, ray_session, mode, n_valid):
+    """Each single-input mode reads through the quarantining reader: exit 0,
+    ``total = quarantined + exact_dup_removed + near_dup_removed + kept``,
+    as many rows written as ``kept`` and no malformed row in the kept output
+    or the clusters."""
+    src, out = str(tmp_path / "pages"), str(tmp_path / "out")
+    total = _malformed_pages(src, n_valid)
+    argv = [a.replace("{ckpt}", str(tmp_path / "ck")) for a in SINGLE_INPUT_MODES[mode]]
+    rc, m, err = _run_cli(["-i", src, "-o", out, "--write-clusters", "--verbose", *argv], capsys)
+    assert rc == 0, err
+    assert m["total"] == total and m["quarantined"] == 6
+    assert m["quarantined"] + m["exact_dup_removed"] + m["near_dup_removed"] + m["kept"] == total
+    kept = _written(out, ["url"])
+    assert (kept.num_rows if kept else 0) == m["kept"]
+    assert not set(kept["url"].to_pylist() if kept else []) & MALFORMED_URLS
+    clusters = _written(out + ".clusters")
+    if clusters is not None:
+        named = set(clusters["cluster_id"].to_pylist()) | set(clusters["member"].to_pylist())
+        assert not named & MALFORMED_URLS
+    if n_valid:
+        assert 0 < m["kept"] < n_valid
+
+
+def _cli_result(tmp_path, capsys, name, argv):
+    out = str(tmp_path / name)
+    rc, m, err = _run_cli(["-o", out, "--write-clusters", "--verbose", *argv], capsys)
+    assert rc == 0, err
+    def rows(t):
+        return sorted(map(tuple, t.to_pandas().astype(str).values.tolist())) if t else []
+
+    return rows(_written(out)), rows(_written(out + ".clusters")), m, err
+
+
+def test_cli_one_composition_with_and_without_checkpoints(pages_corpus, tmp_path, capsys, ray_session):
+    """``--minhash`` runs the same composition with or without
+    ``--checkpoint-root`` (same kept rows, clusters and counters); a
+    ``tail-hamming`` run on a root holding a ``--minhash`` checkpoint does
+    not reuse it, because the fingerprints fold in the whole config."""
+    from fastq_dupaway_ray.state.checkpoint import read_manifest
+
+    src, _ = pages_corpus
+    ck = str(tmp_path / "ck")
+    plain = _cli_result(tmp_path, capsys, "plain", ["-i", src, "--minhash"])
+    ckpt = _cli_result(tmp_path, capsys, "ckpt", ["-i", src, "--minhash", "--checkpoint-root", ck])
+    assert plain[:3] == ckpt[:3]
+    assert plain[2]["exact_dup_removed"] > 0 and plain[2]["near_dup_removed"] > 0
+    minhash_fps = {s: read_manifest(ck, s)["fingerprint"] for s in ("exact", "edges", "labels")}
+
+    sim = ["-i", src, "--compare-seq", "tail-hamming"]
+    sim_plain = _cli_result(tmp_path, capsys, "sim_plain", sim)
+    sim_ckpt = _cli_result(tmp_path, capsys, "sim_ckpt", [*sim, "--checkpoint-root", ck])
+    assert sim_plain[:3] == sim_ckpt[:3]
+    assert sim_ckpt[:2] != ckpt[:2]
+    for stage, fp in minhash_fps.items():
+        assert read_manifest(ck, stage)["fingerprint"] != fp
+
+
+@pytest.mark.parametrize("mode", sorted(set(SINGLE_INPUT_MODES) - {"minhash_ckpt"}))
+def test_cli_checkpoint_root_ignored_message(pages_corpus, tmp_path, capsys, ray_session, mode):
+    """The ``--checkpoint-root … ignored`` message appears exactly for the
+    modes that persist nothing under the root, and names them."""
+    src, _ = pages_corpus
+    ck = str(tmp_path / "ck")
+    rc, _m, err = _run_cli(
+        ["-i", src, "-o", str(tmp_path / "out"), "--verbose", *SINGLE_INPUT_MODES[mode],
+         "--checkpoint-root", ck],
+        capsys,
+    )
+    assert rc == 0, err
+    persisted = os.path.exists(os.path.join(ck, "exact", "_MANIFEST.json"))
+    assert persisted == mode.startswith(("minhash", "simhash"))
+    assert ("--checkpoint-root ignored" in err) == (not persisted)
+    if not persisted:
+        named = {"fast": "--fast", "tight": "tight", "loose": "loose", "hamming": "--exact-mirror"}
+        assert named[mode] in err
+
+
+def test_cli_quarantine_checks_custom_id_and_text_columns(tmp_path, capsys, ray_session):
+    """``--id-col``/``--text-col`` name the columns the quarantine checks."""
+    src, out = str(tmp_path / "pages"), str(tmp_path / "out")
+    total = _malformed_pages(src)
+    t = pq.read_table(src).rename_columns(["page", "warc_ts", "html", "body", "lang"])
+    pq.write_table(t, os.path.join(src, "part-0.parquet"))
+    rc, m, err = _run_cli(
+        ["-i", src, "-o", out, "--fast", "--verbose", "--id-col", "page", "--text-col", "body"],
+        capsys,
+    )
+    assert rc == 0, err
+    assert m["total"] == total and m["quarantined"] == 6
+    assert pq.read_table(out).num_rows == m["kept"]

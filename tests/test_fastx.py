@@ -179,14 +179,15 @@ def test_flagship_spools_fastx_once(ray_session, tmp_path):
     lazy read otherwise re-gunzips/re-parses on every pipeline pass)."""
     import glob
 
-    from fastq_dupaway_ray.pipelines.flagship import _spool_fastx_once, run_flagship
+    from fastq_dupaway_ray.pipelines.dedup import spool_fastx_once
+    from fastq_dupaway_ray.pipelines.flagship import run_flagship
 
     src = os.path.join(REF, "inputs", "single_fast.fa")
     ck = str(tmp_path / "ck")
-    spool, spooled = _spool_fastx_once(src, ck)
+    spool, spooled = spool_fastx_once(src, ck)
     assert spooled and glob.glob(os.path.join(spool, "*.parquet"))
     # second call reuses the fingerprinted spool (same path, no rewrite)
-    spool2, _ = _spool_fastx_once(src, ck)
+    spool2, _ = spool_fastx_once(src, ck)
     assert spool2 == spool
     kept, _cl, metrics = run_flagship(src, ckpt_root=ck)
     from fastq_dupaway_ray import refmodel

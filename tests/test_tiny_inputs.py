@@ -65,6 +65,59 @@ def test_tiny_asof_and_range(ray_session):
     assert len(rj) == 1
 
 
+def test_asof_join_logs_no_schema_warning(ray_session):
+    """Both sides meet in one side-tagged Arrow exchange, so no operator
+    emits blocks of two schemas (Ray logs "different schema" when one does),
+    and every left row gets the latest right row at or before it."""
+    import datetime
+    import logging
+
+    from fastq_dupaway_ray.stages.asof import asof_join
+
+    epoch = datetime.datetime(2025, 1, 1)
+    ev = pd.DataFrame(
+        {
+            "event_id": np.arange(40, dtype=np.int64),
+            "user_id": np.arange(40, dtype=np.int64) % 7,
+            "ts": [epoch + datetime.timedelta(hours=3 * i) for i in range(40)],
+        }
+    )
+    od = pd.DataFrame(
+        {
+            "o_custkey": np.arange(30, dtype=np.int64) % 9,
+            "o_orderdate": [epoch + datetime.timedelta(hours=5 * i) for i in range(30)],
+        }
+    )
+    records = []
+
+    class Capture(logging.Handler):
+        def emit(self, record):
+            records.append(record.getMessage())
+
+    log = logging.getLogger("ray.data._internal.execution.streaming_executor_state")
+    handler = Capture(level=logging.WARNING)
+    log.addHandler(handler)
+    level = log.level
+    log.setLevel(logging.WARNING)  # the session quiets ray.data to ERROR
+    try:
+        out = asof_join(
+            rd.from_pandas(ev).repartition(4), rd.from_pandas(od).repartition(3),
+            key="user_id", left_time="ts", right_time="o_orderdate",
+            right_key="o_custkey", left_cols=("event_id",),
+        ).select_columns(["event_id", "user_id", "ts", "o_orderdate"]).to_pandas()
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
+    assert not [m for m in records if "different schema" in m]
+    want = pd.merge_asof(
+        ev.sort_values("ts"), od.rename(columns={"o_custkey": "user_id"}).sort_values("o_orderdate"),
+        by="user_id", left_on="ts", right_on="o_orderdate", direction="backward",
+    ).dropna(subset=["o_orderdate"])
+    got = sorted(zip(out["event_id"], out["o_orderdate"]))
+    assert got == sorted(zip(want["event_id"], want["o_orderdate"]))
+    assert 0 < len(got) < len(ev)
+
+
 def test_tiny_embedding_neardup(ray_session):
     from fastq_dupaway_ray.stages.ann import embedding_neardup_exact, embedding_neardup_lsh
 

@@ -36,6 +36,9 @@ checkpointed as ``exact``, ``edges`` and ``labels`` (``state.checkpoint``).
 Their fingerprints chain from the whole ``DedupConfig`` and the input's
 content identity, so a re-run with the same config resumes after the last
 complete stage, and any other config or an edited input starts over.
+Nothing is rebuilt on resume: with no live verify stage there is no endpoint
+index, and ``apply_cluster_labels`` attaches the cluster members by one slim
+scan instead.
 
 Id contract: the exact stage is row-exact under any input (recrawled urls
 lose keep-first without sweeping their winner; full ties route to a
@@ -92,7 +95,6 @@ class DedupConfig:
     simhash_dense_limit: int = 64
     minhash: MinHashParams = field(default_factory=MinHashParams)
     threshold: float | None = None  # jaccard verify threshold (None => from bands)
-    verify: bool = True
     num_buckets: int = 64
     emit_clusters: bool = True
 
@@ -147,13 +149,11 @@ def _near_edges(ds: ray.data.Dataset, cfg: DedupConfig, vout: dict) -> ray.data.
             id_col=cfg.id_col,
             text_col=cfg.text_col,
             order_cols=cfg.order_cols,
-            verify=cfg.verify,
             threshold=cfg.threshold,
             out=vout,
             # numeric spine end-to-end: edge ids stay 128-bit hash pairs
-            # through components; strings materialize once from the verify
-            # index inside apply_cluster_labels
-            emit="numeric" if cfg.verify else "ids",
+            # through components; apply_cluster_labels attaches the ids
+            emit="numeric",
         )
     return _sh.simhash_candidate_edges(
         ds,
@@ -271,16 +271,6 @@ def run_dedup(
 
         vout: dict = {}
         edges, _ = persist("edges", lambda _ctr: _near_edges(exact_slim, cfg, vout))
-        if "ah1" in edges.schema().names and "index_shards" not in vout:
-            # checkpoint-resumed numeric edges: rebuild the endpoint index
-            # (one corpus scan — cheap next to the skipped sign/LSH/verify
-            # stages) so the representative stage can materialize member ids
-            shard_refs, _texts, attrs = _mh.build_endpoint_index(
-                edges.materialize(), exact_slim, id_col=cfg.id_col,
-                text_col=cfg.text_col, attr_cols=cfg.order_cols,
-            )
-            if shard_refs:
-                vout.update(index_shards=shard_refs, attr_cols=attrs)
         labels, _ = persist("labels", lambda _ctr: _comp.connected_components(edges))
         rctr: dict = {}
         kept, clusters = _rep.apply_cluster_labels(
@@ -290,8 +280,9 @@ def run_dedup(
             order_cols=cfg.order_cols,
             payload=exact_full,
             counters=rctr,
-            # verify's endpoint index carries the member order values — the
-            # label-attach corpus pass is skipped
+            # verify's endpoint index carries the member order values: the
+            # label-attach corpus pass is skipped (a resumed run has no index
+            # and attaches by one slim scan)
             member_attrs=(
                 (vout["index_shards"], vout["attr_cols"]) if "index_shards" in vout else None
             ),

@@ -29,7 +29,6 @@ def run_flagship(
     ckpt_root: str | None = None,
     params: MinHashParams = MinHashParams(),
     threshold: float | None = None,
-    verify: bool = True,
 ):
     """Returns (kept: Dataset [lazy], clusters: Dataset, metrics: dict).
 
@@ -37,7 +36,7 @@ def run_flagship(
     plus ``input``. The kept (url, warc_ts) set is the same on every limb of
     the exact gate — keep-first winners are a data property, not an
     execution-path property."""
-    cfg = DedupConfig(mode="minhash", minhash=params, threshold=threshold, verify=verify)
+    cfg = DedupConfig(mode="minhash", minhash=params, threshold=threshold)
     out = run_dedup(pages_path, cfg, ckpt_root)
     kept, clusters = out.kept, out.clusters.materialize()
     metrics = {"input": pages_path, **out.metrics}

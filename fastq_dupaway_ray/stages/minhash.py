@@ -402,28 +402,20 @@ def _shard_iter_groups(keys: np.ndarray):
 
 
 def _shard_gather(shards, keys: np.ndarray, what: str):
-    """Column ``what`` ("ids" | "th1" | "th2" | an attr name) for SORTED
-    composite keys (shard groups are contiguous). keys must be >= 0.
-    th1/th2 return numpy; ids/attrs return Arrow."""
+    """Column ``what`` ("ids" | "th1" | "th2") for SORTED composite keys
+    (shard groups are contiguous). keys must be >= 0. th1/th2 return numpy;
+    ids return Arrow."""
     if what in ("th1", "th2"):
         idx = 2 if what == "th1" else 3
         out = np.empty(len(keys), dtype=np.uint64)
         for s, sl, slots in _shard_iter_groups(keys):
             out[sl] = shards[s][idx][slots]
         return out
-    parts = []
-    for s, _sl, slots in _shard_iter_groups(keys):
-        sh = shards[s]
-        if what == "ids":
-            src = sh[4]
-        else:
-            src = sh[5][what]
-            if isinstance(src, pa.ChunkedArray):
-                src = src.combine_chunks()
-        parts.append(src.take(pa.array(slots, pa.int64())))
-    if not parts:
-        return pa.array([], pa.string())
-    return pa.concat_arrays([p.combine_chunks() if isinstance(p, pa.ChunkedArray) else p for p in parts])
+    parts = [
+        shards[s][4].take(pa.array(slots, pa.int64()))
+        for s, _sl, slots in _shard_iter_groups(keys)
+    ]
+    return pa.concat_arrays(parts) if parts else pa.array([], pa.string())
 
 
 def _score_edges_numeric_shards(
@@ -445,8 +437,7 @@ def _score_edges_numeric_shards(
     (ah1, ah2, bh1, bh2, jaccard): the string ids — the other per-task
     gather that grows with the endpoint count — never enter the scorer, and
     downstream components/representative stages consume the hash pairs
-    directly (the flagship path; ids materialize once from the index in
-    apply_cluster_labels)."""
+    directly (the flagship path; apply_cluster_labels attaches the ids)."""
     from ..functions.hashing import hash64
 
     if emit_ids:
@@ -648,10 +639,9 @@ def build_endpoint_index(
     One parallel corpus scan picks the edge endpoints (id-hash membership),
     computing the id hash pair and the text content-hash pair per row;
     route + assemble tasks build ``_INDEX_SHARDS`` h1-sharded indexes, each
-    split into a slim object (hashes + ids + attrs) and a texts object.
-    Used by the verify scorer, by apply_cluster_labels' member gather, and
-    to REBUILD the index when a checkpoint-resumed run loads numeric edges
-    without a live verify stage."""
+    split into a slim object (hashes + ids + attrs) and a texts object,
+    one entry per page row of an endpoint. Used by the verify scorer and, as
+    its cluster-member source, by apply_cluster_labels."""
     from ..functions.hashing import hash64
 
     ep_parts = ray.get(
@@ -751,12 +741,12 @@ def verify_edges_jaccard(
     ``attr_cols``: extra columns the pick pass carries into the endpoint
     index — apply_cluster_labels reuses them to skip its own corpus attach
     pass. ``out``: optional dict receiving ``index_shards`` (list of shard
-    refs) + ``attr_cols`` when the broadcast limb ran.
+    refs) + ``attr_cols`` when the broadcast limb ran (the join limb builds
+    no index).
 
     Returns (a, b, jaccard) string-id edges filtered to >= threshold, or
-    (ah1, ah2, bh1, bh2, jaccard) with ``emit_ids=False`` (broadcast limb
-    only). ``edges`` should be materialized by the caller (it is counted
-    here).
+    (ah1, ah2, bh1, bh2, jaccard) with ``emit_ids=False``, on both limbs.
+    ``edges`` should be materialized by the caller (it is counted here).
     """
     names = edges.schema().names
     if not set(_EDGE_HASH_COLS) <= set(names):
@@ -779,7 +769,7 @@ def verify_edges_jaccard(
     if n_edges > broadcast_edge_budget:
         return _verify_edges_join_numeric(
             edges, pages, threshold, params=params, id_col=id_col,
-            text_col=text_col, num_partitions=num_partitions,
+            text_col=text_col, num_partitions=num_partitions, emit_ids=emit_ids,
         )
     # SHARDED endpoint index + raw-task scorer (the flagship hot path); see
     # build_endpoint_index for the scan/shard design
@@ -819,14 +809,16 @@ def _verify_edges_join_numeric(
     id_col: str = "url",
     text_col: str = "text",
     num_partitions: int | None = None,
+    emit_ids: bool = True,
 ) -> ray.data.Dataset:
     """Join-based verify for the numeric spine (the >broadcast-budget scale
     path): pages are projected to (h1, h2, id, text) in one slim pass, then
     the hash-pair edge list hash-joins that projection twice (a side, b
     side). Joining on the uint64 ``h1`` carries the 2^-64 birthday load of
     the join key alone; the ``h2`` equality is re-checked post-join so the
-    effective identity stays 128-bit. Emits the string (a, b, jaccard)
-    contract, exactly like the broadcast limb."""
+    effective identity stays 128-bit. Emits what the broadcast limb emits:
+    string (a, b, jaccard), or (ah1, ah2, bh1, bh2, jaccard) with
+    ``emit_ids=False``."""
     from ..util import coalesce_schema_blocks
 
     num_partitions = num_partitions or default_join_partitions()
@@ -872,7 +864,7 @@ def _verify_edges_join_numeric(
         both = np.array([t if isinstance(t, str) else "" for t in both], dtype=object)
         uniq, inv = np.unique(both, return_inverse=True)
         allv, starts, counts = _shingle_sets(spec, uniq)
-        out = df[["a", "b"]].copy()
+        out = df[["a", "b"] if emit_ids else list(_EDGE_HASH_COLS)].copy()
         out["jaccard"] = pairwise_jaccard(inv[:P], inv[P:], allv, starts, counts)
         return out[out["jaccard"] >= threshold]
 

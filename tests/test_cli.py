@@ -174,17 +174,22 @@ def test_cli_flag_validation(paths, ray_session):
     assert main(["-i", src, "-o", out, "--fast", "-m", "100"]) == 2
 
 
-def test_cli_checkpointed_minhash_resume(pages_corpus, tmp_path, ray_session):
-    """--checkpoint-root with --minhash runs the checkpointed flagship; a
-    second run resumes from the manifests (same output, stages skipped)."""
+def test_cli_checkpointed_minhash_resume(pages_corpus, tmp_path, capsys, ray_session):
+    """--checkpoint-root with --minhash checkpoints its slim stages; a
+    second run resumes from the manifests. The resumed run has no verify
+    index, so its representative stage attaches the cluster members by a
+    scan — and writes the same kept rows and clusters and prints the same
+    counters as the run that took them from the index."""
     src, _ = pages_corpus
-    out1, out2 = str(tmp_path / "o1"), str(tmp_path / "o2")
     ck = str(tmp_path / "ck")
-    assert main(["-i", src, "-o", out1, "--minhash", "--checkpoint-root", ck]) == 0
-    assert os.path.exists(os.path.join(ck, "exact", "_MANIFEST.json"))
-    assert main(["-i", src, "-o", out2, "--minhash", "--checkpoint-root", ck]) == 0
-    t1, t2 = pq.read_table(out1), pq.read_table(out2)
-    assert sorted(t1["url"].to_pylist()) == sorted(t2["url"].to_pylist())
+    argv = ["-i", src, "--minhash", "--checkpoint-root", ck]
+    first = _cli_result(tmp_path, capsys, "o1", argv)
+    manifests = {s: os.path.join(ck, s, "_MANIFEST.json") for s in ("exact", "edges", "labels")}
+    written = {s: os.stat(p).st_mtime_ns for s, p in manifests.items()}
+    resumed = _cli_result(tmp_path, capsys, "o2", argv)
+    assert {s: os.stat(p).st_mtime_ns for s, p in manifests.items()} == written
+    assert first[2]["near_dup_removed"] > 0
+    assert resumed[:3] == first[:3]
 
 
 def test_dedup_exact_integer_key(ray_session):
@@ -274,25 +279,14 @@ SINGLE_INPUT_MODES = {
 MALFORMED_URLS = {"", "bad/text/0", "bad/text/1", "bad/text/2"}
 
 
-def _malformed_pages(path, n_valid=12):
-    """Valid rows with unique urls (exact copies and one-word edits planted)
-    interleaved with 3 empty-url rows and 3 null-text rows."""
+def _write_pages(path, rows):
+    """One parquet part of (url, text) rows in arrival order: ``warc_ts``
+    counts up by a second per row."""
     import datetime
 
     import pyarrow as pa
 
     epoch = datetime.datetime(2025, 1, 1)
-    words = [f"w{i}" for i in range(40)]
-    base = [" ".join(words[i:] + words[:i]) for i in range(0, 40, 10)]
-    rows = []
-    for i in range(n_valid):
-        text = base[i % len(base)]
-        if i % 3 == 2:
-            text = text.replace("w7", "x7")  # near copy
-        rows.append((f"ok/{i}", text))
-    for j in range(3):
-        rows.insert(4 * j + 1, ("", base[j]))  # would dedup against valid rows
-        rows.insert(4 * j + 3, (f"bad/text/{j}", None))
     table = pa.table(
         {
             "url": pa.array([u for u, _ in rows], pa.string()),
@@ -308,6 +302,23 @@ def _malformed_pages(path, n_valid=12):
     os.makedirs(path)
     pq.write_table(table, os.path.join(path, "part-0.parquet"))
     return table.num_rows
+
+
+def _malformed_pages(path, n_valid=12):
+    """Valid rows with unique urls (exact copies and one-word edits planted)
+    interleaved with 3 empty-url rows and 3 null-text rows."""
+    words = [f"w{i}" for i in range(40)]
+    base = [" ".join(words[i:] + words[:i]) for i in range(0, 40, 10)]
+    rows = []
+    for i in range(n_valid):
+        text = base[i % len(base)]
+        if i % 3 == 2:
+            text = text.replace("w7", "x7")  # near copy
+        rows.append((f"ok/{i}", text))
+    for j in range(3):
+        rows.insert(4 * j + 1, ("", base[j]))  # would dedup against valid rows
+        rows.insert(4 * j + 3, (f"bad/text/{j}", None))
+    return _write_pages(path, rows)
 
 
 def _run_cli(argv, capsys):
@@ -419,3 +430,34 @@ def test_cli_quarantine_checks_custom_id_and_text_columns(tmp_path, capsys, ray_
     assert rc == 0, err
     assert m["total"] == total and m["quarantined"] == 6
     assert pq.read_table(out).num_rows == m["kept"]
+
+
+def test_cli_minhash_near_drops_count_rows(tmp_path, capsys, ray_session):
+    """A url with two page rows, one of them a near copy of an earlier
+    page, is one document: ``--minhash`` drops both rows, and with or
+    without ``--checkpoint-root`` and on a resume the printed ``kept``
+    equals the rows written and ``near_dup_removed`` equals the
+    non-representative rows of ``.clusters``."""
+    src = str(tmp_path / "pages")
+    text_a = " ".join(f"w{i}" for i in range(60))
+    _write_pages(
+        src,
+        [
+            ("x/2", text_a),
+            ("x/1", text_a.replace("w30", "z30")),
+            ("x/1", "an unrelated page about the weather in spring " * 3),
+            ("x/3", "a third page that shares nothing with the others " * 3),
+        ],
+    )
+    ck = ["--checkpoint-root", str(tmp_path / "ck")]
+    for name, extra in (("plain", []), ("ckpt", ck), ("resume", ck)):
+        out = str(tmp_path / name)
+        rc, m, err = _run_cli(
+            ["-i", src, "-o", out, "--minhash", "--write-clusters", "--verbose", *extra], capsys
+        )
+        assert rc == 0, err
+        kept = _written(out, ["url"])
+        clusters = _written(out + ".clusters").to_pandas()
+        assert sorted(kept["url"].to_pylist()) == ["x/2", "x/3"], name
+        assert kept.num_rows == m["kept"], name
+        assert m["near_dup_removed"] == int((~clusters["is_representative"]).sum()) == 2, name

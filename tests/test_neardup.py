@@ -286,8 +286,9 @@ def test_simhash_paired_both_mates(ray_session):
 
 def test_numeric_verify_join_fallback_matches_broadcast(ray_session, tmp_path):
     """The numeric spine's two verify limbs (broadcast index vs hash-pair
-    join) must agree — and both must emit the STRING (a, b, jaccard)
-    contract even though the candidate edges are 128-bit hash pairs."""
+    join) must agree on both output contracts: string (a, b, jaccard) ids,
+    and with ``emit_ids=False`` the (ah1, ah2, bh1, bh2, jaccard) hash
+    pairs the flagship feeds to components."""
     import os
 
     import pyarrow as pa
@@ -318,14 +319,38 @@ def test_numeric_verify_join_fallback_matches_broadcast(ray_session, tmp_path):
     assert edges.count() > 0
     assert set(edges.schema().names) >= {"ah1", "ah2", "bh1", "bh2"}
     thr = params.threshold()
-    via_broadcast = verify_edges_jaccard(edges, pages, thr, params=params).to_pandas()
-    via_join = verify_edges_jaccard(
-        edges, pages, thr, params=params, broadcast_edge_budget=0
-    ).to_pandas()
-    key = lambda df: sorted(zip(df["a"], df["b"], df["jaccard"].round(9)))
-    assert len(via_broadcast) > 0
-    assert key(via_broadcast) == key(via_join)
-    assert set(via_broadcast.columns) == {"a", "b", "jaccard"}
+    for emit_ids in (True, False):
+        via_broadcast = verify_edges_jaccard(
+            edges, pages, thr, params=params, emit_ids=emit_ids
+        ).to_pandas()
+        via_join = verify_edges_jaccard(
+            edges, pages, thr, params=params, broadcast_edge_budget=0, emit_ids=emit_ids
+        ).to_pandas()
+        cols = ["a", "b"] if emit_ids else ["ah1", "ah2", "bh1", "bh2"]
+        key = lambda df: sorted(zip(*(df[c] for c in cols), df["jaccard"].round(9)))
+        assert len(via_broadcast) > 0
+        assert key(via_broadcast) == key(via_join), emit_ids
+        assert set(via_broadcast.columns) == set(via_join.columns) == {*cols, "jaccard"}
+
+    # numeric labels from the join limb come without an index: the
+    # representative stage attaches their members by a scan and keeps the
+    # same rows and clusters as from the indexed broadcast run
+    vout: dict = {}
+    indexed = verify_edges_jaccard(edges, pages, thr, params=params, emit_ids=False, out=vout)
+    joined = verify_edges_jaccard(
+        edges, pages, thr, params=params, broadcast_edge_budget=0, emit_ids=False
+    )
+
+    def representatives(scored, attrs):
+        ctr: dict = {}
+        labels = connected_components(scored.materialize()).materialize()
+        kept, clus = apply_cluster_labels(pages, labels, counters=ctr, member_attrs=attrs)
+        cl = clus.to_pandas()[["cluster_id", "member", "is_representative"]]
+        return sorted(kept.to_pandas()["url"]), sorted(map(tuple, cl.values.tolist())), ctr["near_drops"]
+
+    base = representatives(indexed, (vout["index_shards"], vout["attr_cols"]))
+    assert base[2] > 0
+    assert representatives(joined, None) == base
 
 
 def test_verify_rejects_string_edges(ray_session):
@@ -391,38 +416,71 @@ def test_min_label_numpy_matches_union_find_random():
     assert set(labels) == {"n00000"}
 
 
-def test_members_from_index_matches_attach_scan(ds, pages_rows):
-    """apply_cluster_labels with the verify stage's sharded endpoint index
-    (member_attrs) must produce EXACTLY the kept set and clusters table of
-    the full-corpus attach-scan path — the index fast path skips a whole
-    Dataset pass, not any semantics."""
+def test_members_from_index_matches_attach_scan(ray_session, pages_rows):
+    """Numeric labels keep the same rows and give the same clusters and
+    ``near_drops`` whether apply_cluster_labels takes its members from the
+    verify stage's endpoint index (``member_attrs``) or from the attach
+    scan. A clustered url recrawled with unrelated text has two page rows:
+    both sources give one member row per page row, and ``near_drops``
+    counts rows."""
+    import pyarrow as pa
+
+    dup = next(r for r in pages_rows if "/dup/jac095/" in r["url"])
+    recrawl = {**dup, "text": "an unrelated recrawl of this url " * 4}
+    pages = rd.from_arrow(pa.Table.from_pylist([*pages_rows, recrawl]))
     vout: dict = {}
     edges = dedup_edges_minhash(
-        ds, verify=True, threshold=0.7,
-        order_cols=("warc_ts", "url"), out=vout,
+        pages, threshold=0.7, order_cols=("warc_ts", "url"), out=vout, emit="numeric",
     ).materialize()
     assert "index_shards" in vout, "numeric broadcast limb must have run"
     labels = connected_components(edges).materialize()
+    assert "node_h1" in labels.schema().names
 
-    kept_a, clus_a = apply_cluster_labels(ds, labels)  # attach scan
-    kept_b, clus_b = apply_cluster_labels(
-        ds, labels, member_attrs=(vout["index_shards"], vout["attr_cols"])
-    )
-    ka = sorted(kept_a.to_pandas()["url"])
-    kb = sorted(kept_b.to_pandas()["url"])
-    assert ka == kb
-    canon = lambda c: sorted(
-        map(tuple, c.to_pandas()[["cluster_id", "member", "is_representative"]].values.tolist())
-    )
-    assert canon(clus_a) == canon(clus_b)
+    def run(slim, attrs):
+        ctr: dict = {}
+        kept, clus = apply_cluster_labels(
+            slim, labels, payload=pages, counters=ctr, member_attrs=attrs
+        )
+        kt = kept.to_pandas()[["url", "text"]]
+        cl = clus.to_pandas()[["cluster_id", "member", "is_representative"]]
+        return sorted(map(tuple, kt.values.tolist())), sorted(map(tuple, cl.values.tolist())), ctr["near_drops"]
+
+    # the index run scans no pages: an empty ``pages`` shows it took the index
+    via_index = run(pages.limit(0), (vout["index_shards"], vout["attr_cols"]))
+    via_scan = run(pages, None)
+    assert via_index == via_scan
+    kept, clusters, near_drops = via_index
+    assert [m for _c, m, _r in clusters].count(dup["url"]) == 2
+    assert near_drops == sum(1 for *_cm, rep in clusters if not rep) > 0
+    assert len(kept) == len(pages_rows) + 1 - near_drops
+
+
+def test_apply_cluster_labels_unclustered_is_typed(ray_session):
+    """No label (or no label node among the pages) keeps every row and
+    gives a typed empty clusters table: the id column's type, or string
+    for pandas object ids."""
+    import pyarrow as pa
+
+    rows = {"url": ["a", "b"], "warc_ts": [1, 2]}
+    for pages in (rd.from_arrow(pa.table(rows)), rd.from_pandas(pd.DataFrame(rows))):
+        for nodes in ([], ["zz"]):
+            labels = rd.from_arrow(
+                pa.table({"node": pa.array(nodes, pa.string()), "label": pa.array(nodes, pa.string())})
+            )
+            ctr: dict = {}
+            kept, clusters = apply_cluster_labels(pages, labels, counters=ctr)
+            assert clusters.schema().types == [pa.string(), pa.string(), pa.bool_()]
+            assert clusters.count() == 0 and ctr["near_drops"] == 0
+            assert sorted(kept.to_pandas()["url"]) == ["a", "b"]
 
 
 @pytest.mark.parametrize("spine", ["string", "numeric"])
 def test_apply_cluster_labels_exchange_limbs_match_broadcast(ds, monkeypatch, spine):
-    """Both apply_cluster_labels paths keep the same rows and clusters when
-    their drop set takes ``semi_filter``'s exchange limb (budget 0); the
-    string path also runs its above-``DRIVER_PICK_LABELS`` pick as a hash
-    exchange on the label. No Ray groupby runs on the forced limbs."""
+    """String and numeric labels keep the same rows and clusters when the
+    drop set takes ``semi_filter``'s exchange limb (budget 0) and labels
+    above ``DRIVER_PICK_LABELS`` (0) take the attach scan and the pick's
+    hash exchange on the label, even with the verify index at hand. No Ray
+    groupby runs on the forced limbs."""
     from fastq_dupaway_ray.stages import exchange, representative
 
     vout: dict = {}

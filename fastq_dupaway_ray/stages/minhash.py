@@ -20,6 +20,8 @@ Stage design for scale:
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -534,18 +536,25 @@ def _gather_need_texts(need_keys: np.ndarray, text_refs) -> np.ndarray:
 
 @ray.remote
 def _score_edges_task(
-    block: pa.Table, shard_refs, text_refs, spec, threshold: float,
-    piece: int = 0, n_pieces: int = 1, emit_ids: bool = True,
+    shard_refs, text_refs, spec, threshold: float, emit_ids: bool,
+    piece: int, n_pieces: int, *blocks,
 ) -> pa.Table:
-    """Raw-task scorer: one edge-block SLICE against the sharded index. Raw
-    tasks on purpose — wrapping the (already materialized) edge blocks back
-    into a Dataset map_batches costs a whole extra execution round (~1-2 s
-    fixed). ``piece``/``n_pieces`` slice the block inside the task (zero-copy)
-    so the scorer fan-out exceeds the edge-dedup exchange width — one task
-    per EB block left straggler waves at 32 CPUs. ``text_refs`` stay
-    UNRESOLVED (plain ObjectRefs in a list) so a task whose pairs are all
-    byte-identical never ships a text shard."""
-    block = exchange.as_arrow_block(block)  # internal refs can be pandas blocks
+    """Raw-task scorer: a group of whole edge blocks, or one SLICE of one
+    block, against the sharded index. Raw tasks on purpose — wrapping the
+    (already materialized) edge blocks back into a Dataset map_batches
+    costs a whole extra execution round (~1-2 s fixed). The blocks arrive
+    as ``*blocks`` so Ray resolves them; a group is scored as one table, so
+    each endpoint is shingled once per task. ``piece``/``n_pieces`` slice a
+    single block inside the task (zero-copy) when the scorer fan-out exceeds
+    the block count — one task per EB block left straggler waves at 32
+    CPUs. ``text_refs`` stay UNRESOLVED (plain ObjectRefs in a list) so a
+    task whose pairs are all byte-identical never ships a text shard."""
+    # internal refs can be pandas blocks
+    tabs = [exchange.as_arrow_block(b) for b in blocks]
+    block = (
+        tabs[0] if len(tabs) == 1
+        else pa.concat_tables(tabs, promote_options="default").combine_chunks()
+    )
     if n_pieces > 1:
         n = block.num_rows
         start = (n * piece) // n_pieces
@@ -653,16 +662,15 @@ def build_endpoint_index(
     )
     ep_ref = ray.put((eh1, eh2))
 
-    # columns the pick pass carries into the index: id + text always, plus
-    # any attr columns present in the pages schema (order cols for the
-    # label-attach fast path — 8 B each, negligible next to text)
-    page_cols = set(pages.schema().names)
-    attrs_present = [
-        c for c in attr_cols if c in page_cols and c not in (id_col, text_col)
-    ]
-    pick_cols = [id_col, text_col, *attrs_present]
-
     def pick(t: pa.Table) -> pa.Table:
+        # columns the pick pass carries into the index: id + text always,
+        # plus whichever attr columns the batch holds (order cols for the
+        # label-attach fast path — 8 B each, negligible next to text). Read
+        # off the batch, not ``pages.schema()``: on a lazy ``pages`` that
+        # probe executes the whole upstream chain once more
+        pick_cols = [id_col, text_col] + [
+            c for c in attr_cols if c in t.column_names and c not in (id_col, text_col)
+        ]
         # emit the id hashes computed for the membership test — the assemble
         # tasks build the READY lookup index from them, so scorer workers
         # never hash/convert the endpoint ids themselves. The TEXT
@@ -686,11 +694,11 @@ def build_endpoint_index(
     # index. Building the index per WORKER instead (round-2 design) cost
     # several CPU-seconds x every worker — a per-worker broadcast tax that
     # grows with cluster size and inverts scaling.
-    picked = (
-        pages.select_columns(pick_cols)
-        .map_batches(pick, batch_format="pyarrow")
-        .materialize()
-    )
+    picked = pages.map_batches(pick, batch_format="pyarrow").materialize()
+    schema = picked.schema()  # a materialized dataset's: no execution
+    attrs_present = [
+        c for c in attr_cols if schema and c in schema.names and c not in (id_col, text_col)
+    ]
     block_refs = [
         ref
         for bundle in picked.iter_internal_ref_bundles()
@@ -781,23 +789,29 @@ def verify_edges_jaccard(
     if out is not None:
         out["index_shards"] = shard_refs
         out["attr_cols"] = attrs_present
-    edge_refs = exchange.nonempty_block_refs(edges)
-    if not edge_refs:
+    edge_blocks = exchange._nonempty_blocks(edges)
+    if not edge_blocks:
         return empty()
-    # fan scoring wider than the EB exchange width: ~3 tasks per CPU
-    # absorbs stragglers (shingle cost varies per bucket)
-    per_block = max(
-        1,
-        -(-int(ray.cluster_resources().get("CPU", 8)) * 3 // max(len(edge_refs), 1)),
+    edge_refs = [ref for ref, _meta in edge_blocks]
+    # scorer fan-out sized by the edges it scores, as an exchange sizes its
+    # reducers: up to ~3 tasks per CPU absorbs stragglers (shingle cost
+    # varies per bucket), but a small edge list takes fewer tasks, each
+    # scoring a group of whole blocks (an endpoint is shingled once per
+    # task). Only above one task per block are blocks split into pieces.
+    n_tasks = exchange.exchange_fanout(
+        int(ray.cluster_resources().get("CPU", 8)) * 3,
+        n_edges,
+        sum(meta.size_bytes or 0 for _ref, meta in edge_blocks),
     )
-    scored = [
-        _score_edges_task.remote(
-            b, shard_refs, text_refs, spec, threshold,
-            piece=i, n_pieces=per_block, emit_ids=emit_ids,
-        )
-        for b in edge_refs
-        for i in range(per_block)
-    ]
+    score = functools.partial(
+        _score_edges_task.remote, shard_refs, text_refs, spec, threshold, emit_ids
+    )
+    if n_tasks <= len(edge_refs):
+        cut = [len(edge_refs) * i // n_tasks for i in range(n_tasks + 1)]
+        scored = [score(0, 1, *edge_refs[a:b]) for a, b in zip(cut, cut[1:])]
+    else:
+        per_block = -(-n_tasks // len(edge_refs))
+        scored = [score(i, per_block, b) for b in edge_refs for i in range(per_block)]
     return ray.data.from_arrow_refs(scored)
 
 

@@ -39,3 +39,25 @@ def pages_rows(pages_corpus):
 
     path, _ = pages_corpus
     return pq.read_table(path).to_pylist()
+
+
+@pytest.fixture()
+def executions(monkeypatch):
+    """The list of Ray Data executions started while the test runs: one
+    entry per ``StreamingExecutor.execute`` call, naming its operators."""
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    runs: list = []
+    execute = StreamingExecutor.execute
+
+    def counted(self, dag, *args, **kwargs):
+        ops, todo = [], [dag]
+        while todo:
+            op = todo.pop()
+            ops.append(op.name)
+            todo.extend(op.input_dependencies)
+        runs.append(ops)
+        return execute(self, dag, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counted)
+    return runs

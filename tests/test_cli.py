@@ -192,6 +192,23 @@ def test_cli_checkpointed_minhash_resume(pages_corpus, tmp_path, capsys, ray_ses
     assert resumed[:3] == first[:3]
 
 
+def test_cli_checkpointed_minhash_execution_count(pages_corpus, tmp_path, capsys, ray_session, executions):
+    """A warm ``--minhash --checkpoint-root --write-clusters`` pass runs at
+    most 5 Ray Data executions: the exact drop set, the LSH band rows, the
+    endpoint pick and the two sinks. Checkpoints are written by raw tasks,
+    and the endpoint index reads no schema of its lazy input. A resume runs
+    no more than 5 either."""
+    src, _ = pages_corpus
+    argv = ["-i", src, "--minhash", "--checkpoint-root", str(tmp_path / "ck")]
+    executions.clear()
+    warm = _cli_result(tmp_path, capsys, "warm", argv)
+    assert len(executions) <= 5, executions
+    executions.clear()
+    resumed = _cli_result(tmp_path, capsys, "resumed", argv)
+    assert len(executions) <= 5, executions
+    assert resumed[:3] == warm[:3]
+
+
 def test_dedup_exact_integer_key(ray_session):
     """dedup_exact over a non-string (integer) key column — the identity
     length fold must not assume sized values."""

@@ -19,6 +19,28 @@ from fastq_dupaway_ray.stages.exchange import (
 )
 
 
+def test_unique_pairs_matches_lexsort():
+    """``_unique_pairs`` sorts by h1 and only the mixed equal-h1 runs by h2;
+    its arrays equal a full ``np.lexsort`` + keep-first, on keys with
+    forced equal-h1 runs (same and different h2) and repeated pairs."""
+    rng = np.random.default_rng(5)
+
+    def oracle(q1, q2):
+        o = np.lexsort((q2, q1))
+        q1, q2 = q1[o], q2[o]
+        keep = np.r_[True, (q1[1:] != q1[:-1]) | (q2[1:] != q2[:-1])][: len(q1)]
+        return q1[keep], q2[keep]
+
+    for n, h1_span, h2_span in [(0, 1, 1), (1, 1, 1), (500, 7, 3), (500, 50, 2), (2000, 2**64, 2**64)]:
+        q1 = rng.integers(0, h1_span, n, dtype=np.uint64)
+        q2 = rng.integers(0, h2_span, n, dtype=np.uint64)
+        if n > 10:  # repeat some pairs verbatim
+            q1[:10], q2[:10] = q1[-10:], q2[-10:]
+        got, want = exchange._unique_pairs(q1, q2), oracle(q1, q2)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w), (n, h1_span)
+
+
 def test_fanout_rows_floor():
     # tiny exchange collapses to one reducer regardless of cluster width
     for cap in (8, 32, 128, 1024):

@@ -353,6 +353,82 @@ def test_numeric_verify_join_fallback_matches_broadcast(ray_session, tmp_path):
     assert representatives(joined, None) == base
 
 
+@pytest.fixture(scope="module")
+def numeric_edges(ds):
+    """Deduplicated numeric (ah1..bh2) LSH edges of the corpus in 3 blocks."""
+    from fastq_dupaway_ray.stages.minhash import lsh_candidate_edges, sign_and_band
+
+    band_rows = ds.select_columns(["url", "text"]).map_batches(
+        sign_and_band, fn_kwargs={"params": MinHashParams(), "numeric_ids": True},
+        batch_format="pyarrow",
+    )
+    edges = lsh_candidate_edges(band_rows, numeric_ids=True).to_pandas()
+    edges = edges[["ah1", "ah2", "bh1", "bh2"]].drop_duplicates()
+    return rd.from_pandas(np.array_split(edges, 3)).materialize()
+
+
+def test_verify_scoring_limbs_agree(ds, numeric_edges, monkeypatch):
+    """Scorer fan-out is sized by the edge count: a small edge list is
+    scored by one task holding every block, a large one by pieces of each
+    block. Both limbs, and the join limb, score the same rows."""
+    from fastq_dupaway_ray.stages import exchange
+    from fastq_dupaway_ray.stages import minhash as mh
+
+    calls = []
+    task = mh._score_edges_task
+
+    class Spy:
+        @staticmethod
+        def remote(*args):
+            piece, n_pieces, *blocks = args[5:]
+            calls.append((piece, n_pieces, len(blocks)))
+            return task.remote(*args)
+
+    monkeypatch.setattr(mh, "_score_edges_task", Spy)
+    params = MinHashParams()
+    thr = 0.5
+
+    def scored(**kwargs):
+        df = mh.verify_edges_jaccard(
+            numeric_edges, ds, thr, params=params, emit_ids=False, **kwargs
+        ).to_pandas()
+        return sorted(zip(df["ah1"], df["ah2"], df["bh1"], df["bh2"], df["jaccard"]))
+
+    monkeypatch.setattr(exchange, "EXCHANGE_ROWS_PER_REDUCER", 1 << 40)
+    grouped = scored()
+    assert calls == [(0, 1, 3)]
+    calls.clear()
+    monkeypatch.setattr(exchange, "EXCHANGE_ROWS_PER_REDUCER", 1)
+    pieces = scored()
+    n_pieces = -(-int(mh.ray.cluster_resources()["CPU"]) * 3 // 3)
+    assert calls == [(i, n_pieces, 1) for _b in range(3) for i in range(n_pieces)]
+    joined = scored(broadcast_edge_budget=0)
+    assert len(grouped) > 0
+    assert grouped == pieces
+    round9 = lambda rows: [(*r[:4], round(r[4], 9)) for r in rows]
+    assert round9(grouped) == round9(joined)
+
+
+def test_endpoint_index_reads_attrs_from_the_pick(ds, numeric_edges, executions):
+    """The endpoint index runs one execution (the pick pass) — no schema
+    probe of a lazy ``pages`` — and carries only the attr columns ``pages``
+    holds."""
+    from fastq_dupaway_ray.stages.minhash import build_endpoint_index
+
+    pages = ds.map_batches(lambda t: t, batch_format="pyarrow")
+    executions.clear()
+    shards, texts, attrs = build_endpoint_index(
+        numeric_edges, pages, attr_cols=("warc_ts", "url", "lang_score")
+    )
+    assert len(executions) == 1
+    assert not any("limit" in op.lower() for op in executions[0])
+    assert attrs == ["warc_ts"] and shards and texts
+    _s, _t, attrs = build_endpoint_index(
+        numeric_edges, ds.select_columns(["url", "text"]), attr_cols=("warc_ts",)
+    )
+    assert attrs == []
+
+
 def test_verify_rejects_string_edges(ray_session):
     """verify_edges_jaccard scores numeric (ah1..bh2) edges only; string
     (a, b) edges get an explicit error naming the required columns, not a

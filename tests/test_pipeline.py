@@ -163,6 +163,68 @@ def test_checkpoint_skips_and_invalidates(ds, tmp_path):
     assert sorted(again.to_pandas()["url"]) == sorted(mat.to_pandas()["url"])
 
 
+def test_checkpoint_writes_materialized_blocks_with_raw_tasks(ds, tmp_path, executions):
+    """A materialized input is written by raw tasks, one part per non-empty
+    block, with no Ray Data execution; the manifest counts each part's rows,
+    and a resume reads the same rows back."""
+    import pyarrow.parquet as pq
+
+    root = str(tmp_path)
+    mat = ds.select_columns(["url", "lang"]).repartition(3).materialize()
+    fp = fingerprint("stage-raw", "cfg")
+    executions.clear()
+    assert checkpoint(mat, root, "raw", fp) is mat
+    assert executions == []
+    man = read_manifest(root, "raw")
+    assert man["files"] == ["part-00000.parquet", "part-00001.parquet", "part-00002.parquet"]
+    for p in man["partitions"]:
+        path = os.path.join(root, "raw", p["file"])
+        assert pq.ParquetFile(path).metadata.num_rows == p["rows"] > 0
+    assert man["rows"] == mat.count()
+    back = checkpoint(mat, root, "raw", fp)
+    assert back is not mat
+    key = lambda t: sorted(zip(t["url"], t["lang"]))
+    assert key(back.to_pandas()) == key(mat.to_pandas())
+
+
+def test_checkpoint_zero_rows_writes_typed_empty_part(ray_session, tmp_path):
+    import pyarrow.parquet as pq
+
+    root = str(tmp_path)
+    empty = rd.from_arrow(pa.table({"a": pa.array([], pa.uint64())})).materialize()
+    assert checkpoint(empty, root, "e", fingerprint("e")) is empty
+    man = read_manifest(root, "e")
+    assert man["files"] == ["part-empty.parquet"] and man["rows"] == 0
+    assert pq.read_schema(os.path.join(root, "e", "part-empty.parquet")).field("a").type == pa.uint64()
+    assert checkpoint(empty, root, "e", fingerprint("e")).count() == 0
+
+
+def test_checkpoint_pandas_blocks_share_one_schema(ray_session, tmp_path):
+    """Pandas blocks are lifted to Arrow, and every part takes the dataset's
+    one schema: a block whose object column is all None (typed null on its
+    own) is written with the string type another block's values give it,
+    as SimHash string labels can be."""
+    import pandas as pd
+    import pyarrow.parquet as pq
+
+    root = str(tmp_path)
+    blocks = [
+        pd.DataFrame({"n": [1, 2], "label": [None, None]}),
+        pd.DataFrame({"n": [3], "label": ["x"]}),
+    ]
+    mat = rd.from_pandas(blocks).materialize()
+    fp = fingerprint("stage-pd")
+    checkpoint(mat, root, "pd", fp)
+    man = read_manifest(root, "pd")
+    schemas = {
+        pq.read_schema(os.path.join(root, "pd", f)).remove_metadata() for f in man["files"]
+    }
+    assert len(man["files"]) == 2 and len(schemas) == 1
+    assert schemas.pop().field("label").type == pa.string()
+    back = checkpoint(mat, root, "pd", fp).to_pandas()
+    assert sorted(zip(back["n"], back["label"].fillna("-"))) == [(1, "-"), (2, "-"), (3, "x")]
+
+
 def test_multimodal_plumbing(ds):
     from fastq_dupaway_ray.stages.multimodal import FrameSampler, image_pipeline
 

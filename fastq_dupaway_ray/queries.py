@@ -1058,8 +1058,8 @@ def q_anti_join_customers_orders(sf_dir: str):
     """Anti-join emitting rows (J1's unmatch_reads residue as data, not a
     count): customers with no HIGH-VALUE order (every synthetic customer has
     some order, so the right side is filtered to make the residue real).
-    Broadcast key-set filter at this scale; exchange-distinct + left_outer
-    marker join above budget. Result is collected to Arrow: Ray's
+    One ``semi_filter`` gate: a broadcast key-set filter at this scale, a
+    ``cogroup`` of the rows with the keys above its budget. Result is collected to Arrow: Ray's
     ``to_pandas`` drops the schema of an all-empty dataset, and an anti-join
     is exactly the query shape that can legitimately return zero rows."""
     import ray
@@ -1302,7 +1302,7 @@ def _cross_b_docs(sf_dir: str) -> rd.Dataset:
 def q_cross_dedup_exact_docs(sf_dir: str):
     """Cross-corpus EXACT dedup: drop corpus-B rows whose content identity
     appears in the reference corpus (adding a new crawl to a curated
-    dataset). Slim side-tagged identity exchange -> contaminated-identity
+    dataset). Slim identity ``cogroup`` of both corpora -> contaminated-identity
     drop set broadcast -> one streaming filter; payload-exchange fallback
     above budget (stages/crossdedup.py)."""
     from .stages.crossdedup import cross_dedup_exact

@@ -15,8 +15,8 @@ Two modes:
 
 * ``cross_dedup_exact`` — B rows whose 128-bit content identity (same
   construction as stages.dedup_exact) appears in A are dropped. Shape: slim
-  identity rows from BOTH sides (side-tagged) through one hash exchange;
-  each bucket intersects the two sides and emits the matching identities —
+  identity rows from BOTH sides meet in one ``exchange.cogroup``; each
+  bucket intersects the two sides and emits the matching identities —
   the drop set, bounded by the CONTAMINATION size, small by definition in
   the realistic regime — and ``exchange.semi_filter`` removes them from B:
   one streaming filter under its broadcast budget (payload never
@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import functools
 
-import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
@@ -45,16 +44,10 @@ import ray.data
 from .dedup_exact import _identity128
 
 
-def _slim_identity(ds: ray.data.Dataset, key_cols, side: int) -> ray.data.Dataset:
+def _slim_identity(ds: ray.data.Dataset, key_cols) -> ray.data.Dataset:
     def slim(batch: pa.Table) -> pa.Table:
         k1, k2 = _identity128(batch, key_cols)
-        return pa.table(
-            {
-                "_k1": pa.array(k1, pa.uint64()),
-                "_k2": pa.array(k2, pa.uint64()),
-                "_side": pa.array(np.full(len(k1), side, dtype=np.int8), pa.int8()),
-            }
-        )
+        return pa.table({"_k1": pa.array(k1, pa.uint64()), "_k2": pa.array(k2, pa.uint64())})
 
     return ds.map_batches(slim, batch_format="pyarrow")
 
@@ -72,32 +65,22 @@ def cross_dedup_exact(
     non-contaminated content ride through untouched.
     """
     key_cols = list(key_cols)
-    from .exchange import _pair_lookup_pos, _unique_pairs, hash_exchange, semi_filter
+    from .exchange import _pair_lookup_pos, _unique_pairs, cogroup, semi_filter
 
-    slim = _slim_identity(reference, key_cols, 0).union(
-        _slim_identity(corpus, key_cols, 1)
-    )
-
-    def bucket_hits(t: pa.Table | None) -> pa.Table:
-        empty = pa.table(
-            {"_k1": pa.array([], pa.uint64()), "_k2": pa.array([], pa.uint64())}
-        )
-        if t is None or t.num_rows == 0:
-            return empty
-        side = t["_side"].to_numpy()
-        k1 = t["_k1"].to_numpy()
-        k2 = t["_k2"].to_numpy()
-        ref = side == 0
-        if not ref.any() or ref.all():
-            return empty
+    def bucket_hits(ref: pa.Table, corp: pa.Table) -> pa.Table:
         # distinct contaminated identities: corpus pairs ∩ reference pairs
-        r1, r2 = _unique_pairs(k1[ref], k2[ref])
-        q1, q2 = k1[~ref], k2[~ref]
+        if not ref.num_rows or not corp.num_rows:
+            return pa.table({"_k1": pa.array([], pa.uint64()), "_k2": pa.array([], pa.uint64())})
+        r1, r2 = _unique_pairs(ref["_k1"].to_numpy(), ref["_k2"].to_numpy())
+        q1, q2 = corp["_k1"].to_numpy(), corp["_k2"].to_numpy()
         found = _pair_lookup_pos(r1, r2, q1, q2)[1]
         h1, h2 = _unique_pairs(q1[found], q2[found])
         return pa.table({"_k1": pa.array(h1, pa.uint64()), "_k2": pa.array(h2, pa.uint64())})
 
-    drops = hash_exchange(slim, "_k1", num_buckets, bucket_hits)
+    drops = cogroup(
+        _slim_identity(reference, key_cols), _slim_identity(corpus, key_cols), "_k1",
+        bucket_hits, num_buckets,
+    )
     if counters is not None:
         counters["contaminated_identities"] = drops.count()
     return semi_filter(corpus, drops, functools.partial(_identity128, key_cols=key_cols))

@@ -89,7 +89,13 @@ def _identity128(batch: pa.Table, key_cols) -> tuple:
         arr = batch[col]
         if isinstance(arr, pa.ChunkedArray):
             arr = arr.combine_chunks()
-        vals = arr.to_numpy(zero_copy_only=False).astype(object)
+        if pa.types.is_integer(arr.type) and arr.null_count:
+            # ``to_numpy`` decays a nullable integer column to float64: the
+            # value would hash as "5.0" beside a null-free block's "5", and
+            # keys above 2**53 would merge
+            vals = np.array(arr.to_pylist(), dtype=object)
+        else:
+            vals = arr.to_numpy(zero_copy_only=False).astype(object)
         lens = _value_lengths(vals)
         parts.extend((hash64(vals), lens))
         parts2.extend((hash64(vals, alt_key=True), lens))
@@ -124,6 +130,16 @@ def _row_key(batch: pa.Table, cols) -> tuple:
         k1 = combine_hash64(k1, vals, nulls)
         k2 = combine_hash64(k2, vals, nulls)
     return k1, k2
+
+
+def with_key_route(t: pa.Table, key: str, col: str, key_type=None) -> pa.Table:
+    """``t`` plus a uint64 routing column ``col`` hashed from ``key`` (the
+    first word of ``_row_key``: integers and timestamps by value, other
+    types by SipHash). Two inputs that must meet per key route at one key
+    type: pass the left key's type as ``key_type`` to cast ``key`` first."""
+    if key_type is not None and t.schema.field(key).type != key_type:
+        t = t.set_column(t.schema.get_field_index(key), key, t[key].cast(key_type))
+    return t.append_column(col, pa.array(_row_key(t, [key])[0], pa.uint64()))
 
 
 def _keep_first_bucket(

@@ -332,8 +332,8 @@ def remove_dup_spans(
     Same window machinery and ``rounds`` memory bounding as
     :func:`dup_span_stats`; the cut set (merged cut ranges per doc)
     broadcasts READY under ``cut_broadcast_budget``, else the rebuild
-    falls back to ONE payload hash exchange co-locating docs with their
-    cuts by id hash — text moves once either way.
+    falls back to ONE ``exchange.cogroup`` of the docs with their cuts by
+    id hash — text moves once either way.
 
     ``prefilter=True`` runs the (much cheaper) :func:`dup_span_stats` pass
     first and restricts the removal's window exchange to documents with at
@@ -348,7 +348,7 @@ def remove_dup_spans(
     filter under its budget, one exchange above it; exact on both limbs.
     """
     from .dedup_exact import _row_key
-    from .exchange import default_shuffle_buckets, fetch_cached, hash_exchange, semi_filter
+    from .exchange import cogroup, default_shuffle_buckets, fetch_cached, hash_exchange, semi_filter
 
     B = num_buckets or default_shuffle_buckets()
     if rounds < 1:
@@ -510,6 +510,10 @@ def remove_dup_spans(
             )
         return out.append_column("n_removed_chars", pa.array(removed, pa.int64()))
 
+    def cut_lookup(tab: pa.Table) -> dict:
+        dfc = tab.select(["d", "s", "e"]).to_pandas()
+        return {d: (g["s"].to_numpy(), g["e"].to_numpy()) for d, g in dfc.groupby("d", sort=False)}
+
     if n_cuts == 0:
         return ds.map_batches(
             lambda t: t.append_column(
@@ -525,58 +529,15 @@ def remove_dup_spans(
         ref = ray.put(cut_tab)
 
         def rebuild(t: pa.Table) -> pa.Table:
-            def build(tab):
-                dfc = tab.to_pandas()
-                return {
-                    d: (g["s"].to_numpy(), g["e"].to_numpy())
-                    for d, g in dfc.groupby("d", sort=False)
-                }
-
-            lookup = fetch_cached(ref, build)
-            return rebuild_batch(t, lookup)
+            return rebuild_batch(t, fetch_cached(ref, cut_lookup))
 
         return ds.map_batches(rebuild, batch_format="pyarrow")
 
     # payload-exchange fallback: co-locate docs with their cut RANGES by id
     # hash — the doc payload moves through exactly one exchange
-    doc_schema = ds.take_batch(1, batch_format="pyarrow").schema
-    tag_cols = ["_idk", "_cut_s", "_cut_e", "_is_cut"]
+    def group_rebuild(docs_t: pa.Table, cuts_t: pa.Table) -> pa.Table:
+        return rebuild_batch(docs_t.drop_columns(["_idk"]), cut_lookup(cuts_t))
 
-    def pad_docs(t: pa.Table) -> pa.Table:
-        return (
-            _with_id_key(t, id_col)
-            .append_column("_cut_s", pa.nulls(t.num_rows, pa.int64()))
-            .append_column("_cut_e", pa.nulls(t.num_rows, pa.int64()))
-            .append_column("_is_cut", pa.array(np.zeros(t.num_rows, dtype=np.int8)))
-        )
-
-    def pad_cuts(t: pa.Table) -> pa.Table:
-        cols = {
-            f.name: t["d"].cast(f.type) if f.name == id_col else pa.nulls(t.num_rows, f.type)
-            for f in doc_schema
-        }
-        cols["_idk"] = pa.array(_id_hash64(t["d"].to_numpy(zero_copy_only=False)), pa.uint64())
-        cols["_cut_s"] = t["s"].cast(pa.int64())
-        cols["_cut_e"] = t["e"].cast(pa.int64())
-        cols["_is_cut"] = pa.array(np.ones(t.num_rows, dtype=np.int8))
-        return pa.table(cols)
-
-    def group_rebuild(t: pa.Table | None) -> pa.Table:
-        if t is None:  # unreachable: the cut set is non-empty here
-            t = pad_docs(doc_schema.empty_table())
-        is_cut = pc.equal(t["_is_cut"], 1)
-        docs_t = t.filter(pc.invert(is_cut))
-        cuts_t = t.filter(is_cut)
-        dfc = pa.table(
-            {"d": cuts_t[id_col], "s": cuts_t["_cut_s"], "e": cuts_t["_cut_e"]}
-        ).to_pandas()
-        lookup = {
-            d: (g["s"].to_numpy(), g["e"].to_numpy())
-            for d, g in dfc.groupby("d", sort=False)
-        }
-        return rebuild_batch(docs_t.drop_columns(tag_cols), lookup)
-
-    unioned = ds.map_batches(pad_docs, batch_format="pyarrow").union(
-        cuts.map_batches(pad_cuts, batch_format="pyarrow")
-    )
-    return hash_exchange(unioned, "_idk", B, group_rebuild)
+    docs = ds.map_batches(_with_id_key, fn_kwargs={"col": id_col}, batch_format="pyarrow")
+    keyed_cuts = cuts.map_batches(_with_id_key, fn_kwargs={"col": "d"}, batch_format="pyarrow")
+    return cogroup(docs, keyed_cuts, "_idk", group_rebuild, B)

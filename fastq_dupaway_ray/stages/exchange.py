@@ -8,6 +8,9 @@ built from raw Ray tasks on purpose: Ray Data's sort-based
 exchange at 1M docs regardless of CPU count (the 2.49 hash-shuffle strategy
 47-74 s); this exchange does the identical grouping in 2.3-2.8 s. The
 fan-out — map-task grouping and reduce width — is chosen here, in one place.
+``cogroup`` is its two-sided form: two datasets meet in one exchange and a
+per-bucket function sees each side's rows apart, so no caller tags, pads or
+unions sides itself.
 
 Also here: the small block helpers every exchange consumer needs
 (``nonempty_block_refs``, ``as_arrow_block``), the per-worker broadcast
@@ -107,16 +110,28 @@ def _exchange_map(key: str, B: int, *blocks):
     return out if B > 1 else out[0]
 
 
-@ray.remote
-def _exchange_reduce(fn, *shards):
-    """Concat one bucket's slices from every map task and run the group fn."""
+def _concat_slices(shards) -> pa.Table | None:
+    """One table from a bucket's slices: the non-empty ones concatenated, or
+    a zero-row slice of the richest schema when every slice is empty (None
+    when there are no slices)."""
     shards = [as_arrow_block(s) for s in shards]
     parts = [s for s in shards if s.num_rows]
     if not parts:
-        if not shards:
-            return None
-        return fn(max(shards, key=lambda s: s.num_columns).slice(0, 0))
-    return fn(pa.concat_tables(parts, promote_options="default").combine_chunks())
+        return max(shards, key=lambda s: s.num_columns).slice(0, 0) if shards else None
+    return pa.concat_tables(parts, promote_options="default").combine_chunks()
+
+
+@ray.remote
+def _exchange_reduce(fn, counts, empties, *shards):
+    """Concat one bucket's slices side by side (``counts[i]`` of them for
+    input i; a side with no slices takes ``empties[i]``) and run the group
+    fn on one table per input."""
+    tables, i = [], 0
+    for n, empty in zip(counts, empties):
+        t = _concat_slices(shards[i : i + n])
+        tables.append(empty if t is None else t)
+        i += n
+    return fn(*tables)
 
 
 def exchange_fanout(b_cap: int, rows: int, size_bytes: int, rows_known: bool = True) -> int:
@@ -145,9 +160,8 @@ def hash_exchange(ds: ray.data.Dataset, key: str, B: int, fn) -> ray.data.Datase
     ``key`` must be an integer column; ``fn`` takes one bucket's Arrow table
     (possibly zero-row) and returns an Arrow table, and ``fn(None)`` must
     return the typed-empty result for an all-empty input. Complete key
-    groups always land in one call of ``fn``, for any ``B``. Blocks may carry
-    different column sets (side-tagged inputs, as in ``stages.asof``): a
-    bucket's table holds their union, absent columns null.
+    groups always land in one call of ``fn``, for any ``B``. Two inputs
+    that must meet per bucket go through ``cogroup`` instead.
 
     Map-side argsort + zero-copy slices + one concat per reducer is bounded
     by the bytes actually moved. Every intermediate stays in the object
@@ -157,20 +171,71 @@ def hash_exchange(ds: ray.data.Dataset, key: str, B: int, fn) -> ray.data.Datase
     blocks = _nonempty_blocks(ds)
     if not blocks:
         return ray.data.from_arrow(fn(None))
-    refs = [ref for ref, _meta in blocks]
+    return _exchange([blocks], key, B, fn, (None,))
+
+
+def _exchange(sides: list, key: str, B: int, fn, empties: tuple) -> ray.data.Dataset:
+    """The exchange behind ``hash_exchange`` and ``cogroup``: ``sides`` holds
+    each input's non-empty (ref, metadata) blocks. Map tasks never mix two
+    inputs, so every reducer knows which slices came from which input."""
+    blocks = [b for side in sides for b in side]
     rows_known = all(meta.num_rows is not None for _ref, meta in blocks)
     rows = sum(meta.num_rows or 0 for _ref, meta in blocks)
     size_bytes = sum(meta.size_bytes or 0 for _ref, meta in blocks if meta.num_rows)
     B = exchange_fanout(B, rows, size_bytes, rows_known)
+    refs = [[ref for ref, _meta in side] for side in sides]
     if B <= 1:
-        red = [_exchange_reduce.remote(fn, *refs)]
+        counts = [len(r) for r in refs]
+        red = [_exchange_reduce.remote(fn, counts, empties, *[x for r in refs for x in r])]
     else:
         split = [
-            _exchange_map.options(num_returns=B).remote(key, B, *g)
-            for g in group_for_maps(refs)
+            [_exchange_map.options(num_returns=B).remote(key, B, *g) for g in group_for_maps(r)]
+            if r else []
+            for r in refs
         ]
-        red = [_exchange_reduce.remote(fn, *[s[j] for s in split]) for j in range(B)]
+        counts = [len(s) for s in split]
+        red = [
+            _exchange_reduce.remote(fn, counts, empties, *[m[j] for s in split for m in s])
+            for j in range(B)
+        ]
     return ray.data.from_arrow_refs(red)
+
+
+def _empty_of(mat: ray.data.Dataset) -> pa.Table:
+    """A zero-row table of a materialized dataset's Arrow schema (zero
+    columns when it has none, as for a map over zero-row blocks)."""
+    schema = mat.schema()
+    if schema is None or not isinstance(schema.base_schema, pa.Schema):
+        return pa.table({})
+    return schema.base_schema.empty_table()
+
+
+def cogroup(
+    left: ray.data.Dataset, right: ray.data.Dataset, key: str, fn, num_buckets: int | None = None
+) -> ray.data.Dataset:
+    """The two-sided exchange: co-locate the rows of ``left`` and ``right``
+    by their uint64 routing column ``key`` and call ``fn(l, r)`` per bucket.
+
+    Both inputs' blocks meet in one hash exchange (at most ``num_buckets``
+    reducers, default ``default_shuffle_buckets()``). ``l`` and ``r`` hold
+    each side's own columns (the routing column included) and every row of
+    a key on either side reaches one call of ``fn``. A side with no rows in
+    a bucket arrives as a zero-row table of its schema; a side with no rows
+    at all, as a zero-row table of the schema its materialized dataset
+    reports (zero columns when Ray reports none, as for a map over zero-row
+    blocks). ``fn`` returns an Arrow table; when both sides are empty it runs
+    once, on the two zero-row tables. Every join-shaped step in the engine
+    (joins, as-of and range joins, set ops, the ``semi_filter`` exchange
+    limb, cross-corpus identities, the dup-span rebuild) is one call."""
+    sides, empties = [], []
+    for ds in (left, right):
+        mat = ds.materialize()
+        blocks = _nonempty_blocks(mat)
+        sides.append(blocks)
+        empties.append(None if blocks else _empty_of(mat))
+    if not sides[0] and not sides[1]:
+        return ray.data.from_arrow(fn(*empties))
+    return _exchange(sides, key, num_buckets or default_shuffle_buckets(), fn, tuple(empties))
 
 
 def default_shuffle_buckets(mult: int = 4) -> int:
@@ -263,7 +328,6 @@ def _pair_lookup_pos(h1s: np.ndarray, h2s: np.ndarray, q1: np.ndarray, q2: np.nd
 
 _KEY_COLS = ("_k1", "_k2")
 _CONFIRM_COLS = ("_c1", "_c2")
-_SIDE = "_side"
 
 
 def _key_index(t: pa.Table, confirm: bool) -> tuple:
@@ -341,9 +405,8 @@ def semi_filter(
 
     Up to ``DROP_BROADCAST_BUDGET`` key rows, one task sorts the pairs and
     the sorted arrays are broadcast to a streaming Arrow filter. Above it,
-    the payload rows and the key rows meet in one side-tagged
-    ``hash_exchange`` on ``_k1`` and each bucket filters locally: the
-    payload moves once. Both limbs return the same rows (the exchange limb
+    the payload rows and the key rows meet in one ``cogroup`` on ``_k1``
+    and each bucket filters locally: the payload moves once. Both limbs return the same rows (the exchange limb
     in bucket order), and neither collects the key set on the driver.
     ``semi_filter_gate`` prepares the key set once for several datasets."""
     return semi_filter_gate(keys, key_fn, keep, confirm_fn)(ds)
@@ -354,49 +417,23 @@ def _exchange_semi_filter(
 ) -> ray.data.Dataset:
     """``semi_filter``'s over-budget limb (see there)."""
     confirm = confirm_fn is not None
-    tag_cols = [*_KEY_COLS, *(_CONFIRM_COLS if confirm else ()), _SIDE]
 
-    def tag_rows(t: pa.Table) -> pa.Table:
+    def with_keys(t: pa.Table) -> pa.Table:
         k1, k2 = key_fn(t)
-        cols = [pa.array(k1, pa.uint64()), pa.array(k2, pa.uint64())]
-        if confirm:
-            cols += [pa.nulls(t.num_rows, pa.uint64())] * 2
-        cols.append(pa.array(np.ones(t.num_rows, np.int8)))
-        for name, col in zip(tag_cols, cols):
-            t = t.append_column(name, col)
-        return t
+        return t.append_column("_k1", pa.array(k1, pa.uint64())).append_column(
+            "_k2", pa.array(k2, pa.uint64())
+        )
 
     # a Ray map runs on no zero-row block: the schema is None exactly when
     # the payload has no rows
-    tagged = ds.map_batches(tag_rows, batch_format="pyarrow").materialize()
-    schema = tagged.schema()
-    if schema is None:
+    rows = ds.map_batches(with_keys, batch_format="pyarrow").materialize()
+    if rows.schema() is None:
         return ds  # no payload rows: nothing to keep or drop
-    schema = schema.base_schema  # tag_rows returns Arrow tables
-    payload_cols = schema.names[: -len(tag_cols)]
 
-    def pad_keys(t: pa.Table) -> pa.Table:
-        # the exchange concatenates both sides' slices: key rows take the
-        # payload schema, payload columns as typed nulls
-        cols = [pa.nulls(t.num_rows, schema.field(c).type) for c in payload_cols]
-        cols += [t[c] for c in tag_cols[:-1]]
-        cols.append(pa.array(np.zeros(t.num_rows, np.int8)))
-        return pa.Table.from_arrays(cols, schema=schema)
-
-    def bucket_filter(t: pa.Table | None) -> pa.Table:
-        if t is None:
-            return schema.empty_table().select(payload_cols)
-        side = t[_SIDE].to_numpy()
-        rows = t.filter(pa.array(side == 1))
-        index = _key_index(t.filter(pa.array(side == 0)), confirm)
+    def bucket_filter(t: pa.Table, k: pa.Table) -> pa.Table:
         hit = _members(
-            index,
-            rows["_k1"].to_numpy(),
-            rows["_k2"].to_numpy(),
-            rows.select(payload_cols),
-            confirm_fn,
+            _key_index(k, confirm), t["_k1"].to_numpy(), t["_k2"].to_numpy(), t, confirm_fn
         )
-        return rows.filter(pa.array(hit if keep else ~hit)).select(payload_cols)
+        return t.filter(pa.array(hit if keep else ~hit)).drop_columns(list(_KEY_COLS))
 
-    both = keys.map_batches(pad_keys, batch_format="pyarrow").union(tagged)
-    return hash_exchange(both, "_k1", default_shuffle_buckets(), bucket_filter)
+    return cogroup(rows, keys, "_k1", bucket_filter)

@@ -23,17 +23,19 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
 from ..functions.hashing import word_ngram_hashes
 from ..functions.sketches import MinHasher, MinHashParams
-from ..util import default_join_partitions
 from . import exchange
 
 _HASHER_CACHE: dict = {}
+# edges ``verify_edges_jaccard`` scores against the broadcast endpoint index;
+# above it the edges meet the page texts in two ``cogroup``s. Read at call
+# time, so a test can force the exchange limb by patching it.
+VERIFY_EDGE_BUDGET = 16_000_000
 
 
 def _cached_hasher(params: MinHashParams) -> MinHasher:
@@ -724,8 +726,6 @@ def verify_edges_jaccard(
     params: MinHashParams = MinHashParams(),
     id_col: str = "url",
     text_col: str = "text",
-    num_partitions: int | None = None,
-    broadcast_edge_budget: int = 16_000_000,
     attr_cols=(),
     out: dict | None = None,
     emit_ids: bool = True,
@@ -743,14 +743,14 @@ def verify_edges_jaccard(
       score the edge blocks against it — zero shuffles, no join actors. The
       driver only merges 16 B/endpoint uint64 pairs: 16M edges is ~512 MB
       of driver scratch, well under one worker's heap.
-    * fallback: two distributed hash joins (``_verify_edges_join_numeric``)
-      when the edge list exceeds ``broadcast_edge_budget``.
+    * above ``VERIFY_EDGE_BUDGET`` edges: two ``exchange.cogroup``s attach
+      the endpoint texts and score the pairs (``_verify_edges_cogroup``).
 
     ``attr_cols``: extra columns the pick pass carries into the endpoint
     index — apply_cluster_labels reuses them to skip its own corpus attach
     pass. ``out``: optional dict receiving ``index_shards`` (list of shard
-    refs) + ``attr_cols`` when the broadcast limb ran (the join limb builds
-    no index).
+    refs) + ``attr_cols`` when the broadcast limb ran (the cogroup limb
+    builds no index).
 
     Returns (a, b, jaccard) string-id edges filtered to >= threshold, or
     (ah1, ah2, bh1, bh2, jaccard) with ``emit_ids=False``, on both limbs.
@@ -774,10 +774,9 @@ def verify_edges_jaccard(
     n_edges = edges.count()
     if n_edges == 0:
         return empty()
-    if n_edges > broadcast_edge_budget:
-        return _verify_edges_join_numeric(
-            edges, pages, threshold, params=params, id_col=id_col,
-            text_col=text_col, num_partitions=num_partitions, emit_ids=emit_ids,
+    if n_edges > VERIFY_EDGE_BUDGET:
+        return _verify_edges_cogroup(
+            edges, pages, threshold, spec, id_col=id_col, text_col=text_col, emit_ids=emit_ids
         )
     # SHARDED endpoint index + raw-task scorer (the flagship hot path); see
     # build_endpoint_index for the scan/shard design
@@ -815,74 +814,69 @@ def verify_edges_jaccard(
     return ray.data.from_arrow_refs(scored)
 
 
-def _verify_edges_join_numeric(
+def _verify_edges_cogroup(
     edges: ray.data.Dataset,
     pages: ray.data.Dataset,
     threshold: float,
-    params: MinHashParams = MinHashParams(),
+    spec,
     id_col: str = "url",
     text_col: str = "text",
-    num_partitions: int | None = None,
     emit_ids: bool = True,
 ) -> ray.data.Dataset:
-    """Join-based verify for the numeric spine (the >broadcast-budget scale
-    path): pages are projected to (h1, h2, id, text) in one slim pass, then
-    the hash-pair edge list hash-joins that projection twice (a side, b
-    side). Joining on the uint64 ``h1`` carries the 2^-64 birthday load of
-    the join key alone; the ``h2`` equality is re-checked post-join so the
-    effective identity stays 128-bit. Emits what the broadcast limb emits:
-    string (a, b, jaccard), or (ah1, ah2, bh1, bh2, jaccard) with
-    ``emit_ids=False``."""
-    from ..util import coalesce_schema_blocks
+    """Verify above ``VERIFY_EDGE_BUDGET``: two ``exchange.cogroup``s. The
+    first meets the edges with the page rows on endpoint a's id-hash pair
+    ``(ah1, ah2)`` and attaches its id and text, the second does the same for
+    endpoint b and scores the pairs in its buckets. Each join is on the full
+    128-bit pair, one output row per matching page row, as the broadcast
+    limb emits them: string (a, b, jaccard), or (ah1, ah2, bh1, bh2,
+    jaccard) with ``emit_ids=False``."""
+    slim = pages.select_columns([id_col, text_col])
 
-    num_partitions = num_partitions or default_join_partitions()
+    def texts_for(end: str):
+        h1, h2 = f"{end}h1", f"{end}h2"
 
-    def project(t: pa.Table) -> pa.Table:
-        ids = t[id_col].to_numpy(zero_copy_only=False).astype(object)
-        q1, q2 = _id_hash_pair(ids)
-        return pa.table(
-            {
-                "_ph1": pa.array(q1, pa.uint64()),
-                "_ph2": pa.array(q2, pa.uint64()),
-                id_col: t[id_col],
-                text_col: t[text_col],
-            }
-        )
+        def project(t: pa.Table) -> pa.Table:
+            q1, q2 = _id_hash_pair(t[id_col].to_numpy(zero_copy_only=False).astype(object))
+            return pa.table(
+                {
+                    h1: pa.array(q1, pa.uint64()),
+                    h2: pa.array(q2, pa.uint64()),
+                    end: t[id_col],
+                    f"_text_{end}": t[text_col],
+                }
+            )
 
-    texts = pages.select_columns([id_col, text_col]).map_batches(
-        project, batch_format="pyarrow"
-    )
-    edges = coalesce_schema_blocks(edges)
-    ea = (
-        edges.join(texts, "inner", num_partitions=num_partitions, on=("ah1",), right_on=("_ph1",))
-        .rename_columns({text_col: "_text_a", id_col: "a", "_ph2": "_check_a"})
-        .materialize()
-    )
-    ea = coalesce_schema_blocks(ea)
-    eab = ea.join(
-        texts, "inner", num_partitions=num_partitions, on=("bh1",), right_on=("_ph1",)
-    ).rename_columns({text_col: "_text_b", id_col: "b", "_ph2": "_check_b"})
+        return slim.map_batches(project, batch_format="pyarrow")
 
-    spec = (params.shingle, params.word_n if params.shingle == "word" else params.shingle_k)
+    def attach(end: str):
+        def fn(e: pa.Table, p: pa.Table) -> pa.Table:
+            on = [f"{end}h1", f"{end}h2"]
+            if not p.num_columns:  # no page rows at all
+                p = pa.table(
+                    {**{c: pa.array([], pa.uint64()) for c in on},
+                     end: pa.array([], pa.string()), f"_text_{end}": pa.array([], pa.string())}
+                )
+            return e.join(p, keys=on, join_type="inner", use_threads=False)
 
-    def score(df: pd.DataFrame) -> pd.DataFrame:
-        # h2 re-check: drop 64-bit h1 coincidences the join key let through
-        df = df[
-            (df["_check_a"].to_numpy() == df["ah2"].to_numpy())
-            & (df["_check_b"].to_numpy() == df["bh2"].to_numpy())
-        ]
-        P = len(df)
-        both = np.concatenate(
-            [df["_text_a"].to_numpy(dtype=object), df["_text_b"].to_numpy(dtype=object)]
-        )
+        return fn
+
+    def score(e: pa.Table, p: pa.Table) -> pa.Table:
+        if not e.num_columns:  # no edge met a page row
+            no_edges = pa.table({c: pa.array([], pa.uint64()) for c in _EDGE_HASH_COLS})
+            e = attach("a")(no_edges, pa.table({}))
+        e = attach("b")(e, p)
+        n = e.num_rows
+        both = e["_text_a"].to_pylist() + e["_text_b"].to_pylist()
         both = np.array([t if isinstance(t, str) else "" for t in both], dtype=object)
         uniq, inv = np.unique(both, return_inverse=True)
         allv, starts, counts = _shingle_sets(spec, uniq)
-        out = df[["a", "b"] if emit_ids else list(_EDGE_HASH_COLS)].copy()
-        out["jaccard"] = pairwise_jaccard(inv[:P], inv[P:], allv, starts, counts)
-        return out[out["jaccard"] >= threshold]
+        jac = pairwise_jaccard(inv[:n], inv[n:], allv, starts, counts)
+        out = e.select(["a", "b"] if emit_ids else list(_EDGE_HASH_COLS))
+        out = out.append_column("jaccard", pa.array(jac, pa.float64()))
+        return out.filter(pa.array(jac >= threshold))
 
-    return eab.map_batches(score, batch_format="pandas")
+    with_a = exchange.cogroup(edges, texts_for("a"), "ah1", attach("a"))
+    return exchange.cogroup(with_a, texts_for("b"), "bh1", score)
 
 
 def dedup_edges_minhash(

@@ -3,26 +3,28 @@
 SURVEY.md §2.7: the reference's ``--unordered`` merge machinery doubles as
 set algebra over record-id sets (/root/reference/src/fastq_dedup.cpp's
 unordered path); here the general form is distinct-key INTERSECT/EXCEPT
-between two sides of a corpus, as ONE bucketed exchange with side tags —
-no join, no second shuffle:
+between two sides of a corpus, as ONE ``exchange.cogroup`` — no join, no
+second shuffle:
 
-* each batch emits (key, side) pairs, pre-deduplicated per batch (an Arrow
-  hash aggregate — the combiner: a batch with 50k repeats of one key ships
-  at most 2 rows for it);
-* keys hash-bucket (the repo's SipHash ``hash64`` for strings, identity
-  mod for ints) and each bucket reduces side-presence with one more Arrow
-  aggregate: ``intersect`` keeps keys seen on both sides, ``except_`` keys
-  seen only on the left.
+* each batch emits its distinct keys (an Arrow hash aggregate — the
+  combiner: a batch with 50k repeats of one key ships one row for it),
+  routed on the key hashed at the left key's type (``_row_key``: integers
+  by value, other types by SipHash);
+* each bucket takes the left side's distinct keys and tests them against
+  the right side's: ``intersect`` keeps keys seen on both sides, ``except_``
+  keys seen only on the left. A null key equals a null key, as in SQL set
+  operations.
 
 Output is the distinct key column (ANSI set-op semantics).
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
+
+from .dedup_exact import with_key_route
 
 
 def keyed_set_op(
@@ -35,44 +37,26 @@ def keyed_set_op(
     between ``left`` and ``right``."""
     if op not in ("intersect", "except"):
         raise ValueError(f"keyed_set_op: op must be intersect|except, got {op!r}")
-    from .exchange import default_shuffle_buckets
-    from ..functions.hashing import hash64
+    from .exchange import cogroup
 
-    B = default_shuffle_buckets()
+    def distinct(t: pa.Table, key_type=None) -> pa.Table:
+        keys = pa.table({key_col: t[key_col]}).group_by(key_col).aggregate([])
+        return with_key_route(keys, key_col, "_bkt", key_type)
 
-    def tagger(side: int):
-        def tag(t: pa.Table) -> pa.Table:
-            keys = t[key_col].combine_chunks()
-            small = pa.table({key_col: keys}).group_by(key_col).aggregate([])
-            k = small[key_col].combine_chunks()
-            if pa.types.is_integer(k.type):
-                bkt = k.to_numpy(zero_copy_only=False).astype(np.int64) % B
-            else:
-                bkt = (
-                    hash64(k.to_numpy(zero_copy_only=False).astype(object))
-                    % np.uint64(B)
-                ).astype(np.int64)
-            return pa.table(
-                {
-                    key_col: k,
-                    "_side": pa.array(np.full(len(k), side, dtype=np.int8)),
-                    "_bkt": pa.array(bkt, pa.int64()),
-                }
-            )
-
-        return tag
-
-    tagged = left.map_batches(tagger(0), batch_format="pyarrow").union(
-        right.map_batches(tagger(1), batch_format="pyarrow")
+    tl = left.map_batches(distinct, batch_format="pyarrow").materialize()
+    ls = tl.schema()
+    if ls is None:
+        return tl  # no left rows: no keys either way
+    tr = right.map_batches(
+        distinct, batch_format="pyarrow", fn_kwargs={"key_type": ls.base_schema.field(key_col).type}
     )
 
-    def reduce_bucket(t: pa.Table) -> pa.Table:
-        agg = pa.TableGroupBy(t, key_col).aggregate([("_side", "min"), ("_side", "max")])
-        agg = agg.rename_columns([key_col, "_min", "_max"])
-        if op == "intersect":
-            keep = pc.and_(pc.equal(agg["_min"], 0), pc.equal(agg["_max"], 1))
-        else:
-            keep = pc.equal(agg["_max"], 0)
-        return agg.filter(keep).select([key_col])
+    def per_bucket(l: pa.Table, r: pa.Table) -> pa.Table:
+        keys = l.group_by(key_col).aggregate([])[key_col]
+        if key_col in r.column_names:
+            seen = pc.is_in(keys, value_set=r[key_col].combine_chunks())
+        else:  # no right rows at all
+            seen = pa.array([False] * len(keys))
+        return pa.table({key_col: keys.filter(seen if op == "intersect" else pc.invert(seen))})
 
-    return tagged.groupby("_bkt").map_groups(reduce_bucket, batch_format="pyarrow")
+    return cogroup(tl, tr, "_bkt", per_bucket)

@@ -3,52 +3,6 @@
 from __future__ import annotations
 
 
-def default_join_partitions(cap: int = 64) -> int:
-    """Join/shuffle partition count that leaves CPU headroom.
-
-    ``Dataset.join`` pins ``num_partitions`` aggregator actors for the whole
-    join; sizing it at or above the cluster CPU count starves the map tasks
-    feeding the join and deadlocks the plan. Use ~half the CPUs, capped.
-    """
-    try:
-        import ray
-
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        cpus = 8
-    return max(2, min(cap, cpus // 2))
-
-
-def coalesce_schema_blocks(ds):
-    """Rebuild a dataset from only its non-empty blocks, normalized to Arrow.
-
-    Ray's ``groupby().map_groups()`` emits empty SCHEMA-LESS pandas blocks for
-    empty shuffle partitions (they bypass the UDF entirely), and a downstream
-    Arrow hash join rejects them ("No match or multiple matches for key
-    field"). Materializes, drops the empties, converts survivors to Arrow —
-    block-parallel remote conversion, nothing lands on the driver.
-    """
-    import pyarrow as pa
-    import ray
-    import ray.data
-
-    mat = ds.materialize()
-
-    @ray.remote
-    def to_arrow(b):
-        return b if isinstance(b, pa.Table) else pa.Table.from_pandas(b, preserve_index=False)
-
-    refs = [
-        to_arrow.remote(ref)
-        for bundle in mat.iter_internal_ref_bundles()
-        for ref, meta in bundle.blocks
-        if meta.num_rows is None or meta.num_rows > 0
-    ]
-    if not refs:
-        return mat  # all-empty result: keep as-is (caller sees 0 rows)
-    return ray.data.from_arrow_refs(refs)
-
-
 def round_half_away(values, digits: int):
     """SQL ROUND semantics: half rounds AWAY from zero, like DuckDB.
 
@@ -63,35 +17,3 @@ def round_half_away(values, digits: int):
     p = 10.0 ** digits
     a = np.asarray(values, dtype=np.float64)
     return np.copysign(np.floor(np.abs(a) * p + 0.5), a) / p
-
-
-def sorted_isin(values, sorted_keys):
-    """Membership of ``values`` in a SORTED uint64/values array — the
-    searchsorted + clamp + positional-equality idiom, in one place (it
-    previously lived in three subtly-different copies across join.py and
-    dupspans.py). Null (None/NaN) probe values are never members: SQL key
-    equality is null-hostile, and np.searchsorted raises on None in object
-    arrays. ``sorted_keys`` must be null-free (callers drop nulls when
-    building the set — a null key matches nothing).
-    """
-    import numpy as np
-
-    import pandas as pd
-
-    values = np.asarray(values)
-    out = np.zeros(len(values), dtype=bool)
-    if len(sorted_keys) == 0 or len(values) == 0:
-        return out
-    if values.dtype == object or values.dtype.kind == "f":
-        # vectorized C null scan (covers None, NaN, pd.NA — a Python
-        # `v == v` loop both costs a per-element trip and crashes on pd.NA)
-        valid = pd.notna(values)
-    else:
-        valid = np.ones(len(values), dtype=bool)
-    if not valid.any():
-        return out
-    v = values[valid]
-    pos = np.minimum(np.searchsorted(sorted_keys, v), len(sorted_keys) - 1)
-    hit = np.asarray(sorted_keys)[pos] == v
-    out[np.nonzero(valid)[0]] = hit
-    return out

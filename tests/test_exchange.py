@@ -363,3 +363,143 @@ def test_semi_filter_exchange_limb_never_collects_keys(ray_session, monkeypatch)
     assert sorted(out.to_pandas()["id"].tolist()) == _semi_oracle(
         df, keys[["_k1", "_k2"]], False, False
     )
+
+
+# ---- cogroup: the two-sided exchange ---------------------------------------
+
+
+def _cogroup_sides(n_left=3_000, n_right=2_000, seed=13):
+    """Left (k, a, s) and right (k, b) with different column sets: keys
+    0-199 on the left only, 200-399 on both, 400-599 on the right only."""
+    rng = np.random.default_rng(seed)
+    left = pd.DataFrame(
+        {
+            "k": rng.integers(0, 400, n_left).astype(np.uint64),
+            "a": np.arange(n_left, dtype=np.int64),
+            "s": [f"l{i}" for i in range(n_left)],
+        }
+    )
+    right = pd.DataFrame(
+        {"k": rng.integers(200, 600, n_right).astype(np.uint64), "b": rng.random(n_right)}
+    )
+    return left, right
+
+
+def _per_key_fn():
+    # built per call: a nested function ships to Ray workers by value
+    def per_key(l: pa.Table, r: pa.Table) -> pa.Table:
+        def side(t, col):
+            if "k" not in t.column_names:  # an all-empty side of unknown schema
+                return pd.DataFrame({"k": np.empty(0, np.uint64), col: np.empty(0)})
+            return t.select(["k", col]).to_pandas()
+
+        lg = side(l, "a").groupby("k")["a"].agg(["size", "sum"])
+        rg = side(r, "b").groupby("k")["b"].agg(["size", "sum"])
+        keys = sorted(set(lg.index) | set(rg.index))
+        return pa.table(
+            {
+                "k": pa.array(keys, pa.uint64()),
+                "nl": pa.array([int(lg["size"].get(k, 0)) for k in keys], pa.int64()),
+                "asum": pa.array([int(lg["sum"].get(k, 0)) for k in keys], pa.int64()),
+                "nr": pa.array([int(rg["size"].get(k, 0)) for k in keys], pa.int64()),
+                "bsum": pa.array([float(rg["sum"].get(k, 0.0)) for k in keys], pa.float64()),
+                "lcols": pa.array([",".join(l.column_names)] * len(keys), pa.string()),
+                "rcols": pa.array([",".join(r.column_names)] * len(keys), pa.string()),
+            }
+        )
+
+    return per_key
+
+
+def _cogroup_oracle(left: pd.DataFrame, right: pd.DataFrame) -> list:
+    """Serial per-key (k, nl, asum, nr, bsum) over both sides."""
+    out = {}
+    for k, a in zip(left["k"].tolist(), left["a"].tolist()):
+        row = out.setdefault(k, [0, 0, 0, 0.0])
+        row[0] += 1
+        row[1] += a
+    for k, b in zip(right["k"].tolist(), right["b"].tolist()):
+        row = out.setdefault(k, [0, 0, 0, 0.0])
+        row[2] += 1
+        row[3] += b
+    return sorted((k, nl, asum, nr, round(bsum, 6)) for k, (nl, asum, nr, bsum) in out.items())
+
+
+def _cogroup_rows(ds) -> tuple:
+    got = ds.to_pandas()
+    rows = sorted(
+        (int(k), int(nl), int(asum), int(nr), round(float(bsum), 6))
+        for k, nl, asum, nr, bsum in zip(got["k"], got["nl"], got["asum"], got["nr"], got["bsum"])
+    )
+    return rows, got
+
+
+@pytest.mark.parametrize("width", ["one", "many"])
+def test_cogroup_matches_serial_oracle(ray_session, monkeypatch, width):
+    """Every key's rows of BOTH sides reach one ``fn`` call (one output row
+    per key), with B = 1 and with B > 1; each side arrives with its own
+    columns, also in buckets where it has no rows."""
+    monkeypatch.setattr(exchange, "EXCHANGE_ROWS_PER_REDUCER", 1 << 40 if width == "one" else 1)
+    left, right = _cogroup_sides()
+    calls = []
+    reduce_task = exchange._exchange_reduce
+
+    class Spy:
+        @staticmethod
+        def remote(*args):
+            calls.append(args[1])  # shard counts per side
+            return reduce_task.remote(*args)
+
+    monkeypatch.setattr(exchange, "_exchange_reduce", Spy)
+    out = exchange.cogroup(
+        rd.from_pandas(left).repartition(5), rd.from_pandas(right).repartition(3), "k", _per_key_fn()
+    )
+    rows, got = _cogroup_rows(out)
+    assert rows == _cogroup_oracle(left, right)
+    assert (got["lcols"] == "k,a,s").all() and (got["rcols"] == "k,b").all()
+    assert len(calls) == 1 if width == "one" else len(calls) > 1
+    assert got["k"].is_unique
+
+
+def test_cogroup_empty_sides(ray_session):
+    """An all-empty side arrives as a zero-row table; an all-empty input
+    runs ``fn`` once on two zero-row tables."""
+    left, right = _cogroup_sides(n_left=500, n_right=300)
+    fn = _per_key_fn()
+    lds, rds = rd.from_pandas(left), rd.from_pandas(right)
+    no_left = lds.filter(lambda r: False)
+    no_right = rds.filter(lambda r: False)
+    rows, _ = _cogroup_rows(exchange.cogroup(lds, no_right, "k", fn))
+    assert rows == _cogroup_oracle(left, right.iloc[:0])
+    rows, _ = _cogroup_rows(exchange.cogroup(no_left, rds, "k", fn))
+    assert rows == _cogroup_oracle(left.iloc[:0], right)
+    out = exchange.cogroup(no_left, no_right, "k", fn)
+    assert out.count() == 0
+    assert out.schema().names == fn(pa.table({}), pa.table({})).schema.names
+    # a typed zero-row side keeps its schema
+    typed = rd.from_arrow(pa.Table.from_pandas(right, preserve_index=False).slice(0, 0))
+    _rows, got = _cogroup_rows(exchange.cogroup(lds, typed, "k", fn))
+    assert (got["rcols"] == "k,b").all()
+
+
+def test_cogroup_pandas_blocks_and_empty_parquet_parts(ray_session, tmp_path):
+    """Pandas-block inputs and zero-row parquet parts (possibly zero-column
+    blocks) change nothing."""
+    import os
+
+    import pyarrow.parquet as pq
+
+    left, right = _cogroup_sides(n_left=6_000, n_right=5_000, seed=17)
+    lds = (
+        rd.from_pandas(left)
+        .repartition(4)
+        .map_batches(lambda df: df.assign(a=df["a"] + 0), batch_format="pandas")
+    )
+    d = tmp_path / "right"
+    os.makedirs(d)
+    t = pa.Table.from_pandas(right, preserve_index=False)
+    pq.write_table(t.slice(0, 0), os.path.join(d, "part-0.parquet"))
+    pq.write_table(t, os.path.join(d, "part-1.parquet"))
+    pq.write_table(t.slice(0, 0), os.path.join(d, "part-2.parquet"))
+    rows, _ = _cogroup_rows(exchange.cogroup(lds, rd.read_parquet(str(d)), "k", _per_key_fn()))
+    assert rows == _cogroup_oracle(left, right)

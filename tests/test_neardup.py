@@ -284,7 +284,7 @@ def test_simhash_paired_both_mates(ray_session):
     assert not any("c" in e for e in got), got
 
 
-def test_numeric_verify_join_fallback_matches_broadcast(ray_session, tmp_path):
+def test_numeric_verify_join_fallback_matches_broadcast(ray_session, tmp_path, monkeypatch):
     """The numeric spine's two verify limbs (broadcast index vs hash-pair
     join) must agree on both output contracts: string (a, b, jaccard) ids,
     and with ``emit_ids=False`` the (ah1, ah2, bh1, bh2, jaccard) hash
@@ -294,11 +294,17 @@ def test_numeric_verify_join_fallback_matches_broadcast(ray_session, tmp_path):
     import pyarrow as pa
     import pyarrow.parquet as pq
 
+    from fastq_dupaway_ray.stages import minhash as mh
     from fastq_dupaway_ray.stages.minhash import (
         lsh_candidate_edges,
         sign_and_band,
         verify_edges_jaccard,
     )
+
+    def verify_over_budget(*args, **kwargs):
+        with monkeypatch.context() as m:
+            m.setattr(mh, "VERIFY_EDGE_BUDGET", 0)
+            return verify_edges_jaccard(*args, **kwargs)
 
     base = "pack my box with five dozen liquor jugs every single day " * 3
     rows = [
@@ -323,8 +329,8 @@ def test_numeric_verify_join_fallback_matches_broadcast(ray_session, tmp_path):
         via_broadcast = verify_edges_jaccard(
             edges, pages, thr, params=params, emit_ids=emit_ids
         ).to_pandas()
-        via_join = verify_edges_jaccard(
-            edges, pages, thr, params=params, broadcast_edge_budget=0, emit_ids=emit_ids
+        via_join = verify_over_budget(
+            edges, pages, thr, params=params, emit_ids=emit_ids
         ).to_pandas()
         cols = ["a", "b"] if emit_ids else ["ah1", "ah2", "bh1", "bh2"]
         key = lambda df: sorted(zip(*(df[c] for c in cols), df["jaccard"].round(9)))
@@ -337,9 +343,7 @@ def test_numeric_verify_join_fallback_matches_broadcast(ray_session, tmp_path):
     # same rows and clusters as from the indexed broadcast run
     vout: dict = {}
     indexed = verify_edges_jaccard(edges, pages, thr, params=params, emit_ids=False, out=vout)
-    joined = verify_edges_jaccard(
-        edges, pages, thr, params=params, broadcast_edge_budget=0, emit_ids=False
-    )
+    joined = verify_over_budget(edges, pages, thr, params=params, emit_ids=False)
 
     def representatives(scored, attrs):
         ctr: dict = {}
@@ -402,7 +406,8 @@ def test_verify_scoring_limbs_agree(ds, numeric_edges, monkeypatch):
     pieces = scored()
     n_pieces = -(-int(mh.ray.cluster_resources()["CPU"]) * 3 // 3)
     assert calls == [(i, n_pieces, 1) for _b in range(3) for i in range(n_pieces)]
-    joined = scored(broadcast_edge_budget=0)
+    monkeypatch.setattr(mh, "VERIFY_EDGE_BUDGET", 0)
+    joined = scored()
     assert len(grouped) > 0
     assert grouped == pieces
     round9 = lambda rows: [(*r[:4], round(r[4], 9)) for r in rows]
@@ -441,10 +446,11 @@ def test_verify_rejects_string_edges(ray_session):
         verify_edges_jaccard(edges, pages, 0.5)
 
 
-def test_verify_paths_agree_on_null_text(ray_session):
+def test_verify_paths_agree_on_null_text(ray_session, monkeypatch):
     """Advice r2: the join verify's astype(str) turned None into the literal
     "None" (a real word-shingle token) — both verify limbs (broadcast index
     and hash-pair join) must treat null text as empty."""
+    from fastq_dupaway_ray.stages import minhash as mh
     from fastq_dupaway_ray.stages.minhash import _id_hash_pair, verify_edges_jaccard
 
     rows = [
@@ -458,9 +464,8 @@ def test_verify_paths_agree_on_null_text(ray_session):
     edges = rd.from_pandas(pd.DataFrame({"ah1": a1, "ah2": a2, "bh1": b1, "bh2": b2}))
     params = MinHashParams(shingle="word")
     broad = verify_edges_jaccard(edges, pages, 0.0, params=params).to_pandas()
-    join = verify_edges_jaccard(
-        edges, pages, 0.0, params=params, broadcast_edge_budget=0
-    ).to_pandas()
+    monkeypatch.setattr(mh, "VERIFY_EDGE_BUDGET", 0)
+    join = verify_edges_jaccard(edges, pages, 0.0, params=params).to_pandas()
     key = lambda df: sorted(zip(df["a"], df["b"], df["jaccard"].round(9)))
     # two null texts are identical empty sets (1.0); empty vs real text is 0.0
     assert key(broad) == [("a", "b", 1.0), ("a", "c", 0.0)]

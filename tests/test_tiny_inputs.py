@@ -66,7 +66,7 @@ def test_tiny_asof_and_range(ray_session):
 
 
 def test_asof_join_logs_no_schema_warning(ray_session):
-    """Both sides meet in one side-tagged Arrow exchange, so no operator
+    """Both sides meet in one Arrow ``cogroup``, so no operator
     emits blocks of two schemas (Ray logs "different schema" when one does),
     and every left row gets the latest right row at or before it."""
     import datetime
